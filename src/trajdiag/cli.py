@@ -245,9 +245,17 @@ def _load_best_vector(config: RunConfig) -> TestVector:
     path = Path(config.outdir) / "best_vector.json"
     if not path.is_file():
         raise ConfigError(f"missing {path}; run 'optimize' first")
-    payload = json.loads(path.read_text())
-    scale = _UNITS[payload.get("unit", config.unit)]
-    return TestVector(tuple(f * scale for f in payload["frequencies"]))
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    unit = payload.get("unit", config.unit) if isinstance(payload, dict) else config.unit
+    if not isinstance(unit, str) or unit not in _UNITS:
+        raise ConfigError(f"{path}: unknown unit {unit!r}")
+    try:
+        return TestVector(tuple(float(f) * _UNITS[unit] for f in payload["frequencies"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: missing or bad 'frequencies' ({exc!r})") from None
 
 
 def cmd_diagnose(config: RunConfig, measured: str | None, inject: str | None) -> int:
@@ -265,6 +273,8 @@ def cmd_diagnose(config: RunConfig, measured: str | None, inject: str | None) ->
             raise ConfigError(
                 f"--measured: expected {len(tv.frequencies)} values, got {len(values)}"
             )
+        if not all(map(math.isfinite, values)):
+            raise ConfigError("--measured: values must be finite")
         query = signature(golden, values)
     else:
         component, _, amount = inject.partition(":")
@@ -277,10 +287,12 @@ def cmd_diagnose(config: RunConfig, measured: str | None, inject: str | None) ->
         if element.kind not in PASSIVE_KINDS:
             raise ConfigError(f"--inject: {component} is not a passive element")
         try:
-            deviation = float(amount)
-        except ValueError:
-            raise ConfigError(f"--inject: malformed deviation {amount!r}") from None
-        faulty = evaluate_at(circuit, FaultSpec(component, deviation), tv.frequencies)
+            spec = FaultSpec(component, float(amount))
+        except ValueError as exc:
+            raise ConfigError(f"--inject: {exc}") from None
+        if not math.isfinite(spec.deviation):
+            raise ConfigError(f"--inject: deviation must be finite, got {amount!r}")
+        faulty = evaluate_at(circuit, spec, tv.frequencies)
         query = signature(golden, faulty)
 
     trajectories = build_trajectories(circuit, fault_config, tv)

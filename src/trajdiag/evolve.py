@@ -6,16 +6,21 @@ and per-individual single-gene uniform mutation. Genes are log10
 frequencies so mutation explores the band evenly. The best-so-far
 individual is tracked outside the population (no elitism inside it).
 
+A run memoizes fitness by genes; unseen individuals share ensemble
+solves of ``_SOLVE_FREQUENCIES`` frequencies, each followed by one
+vectorized, count-only incidence pass.
+
 Reproducibility: the run seed feeds a SeedSequence that spawns one
 child stream per generation; all stochastic draws happen on that
-single stream in a fixed order, and fitness evaluation is pure, so
-results are identical for any worker count.
+single stream in a fixed order, and fitness evaluation is pure and
+independent of batching, so results are identical for any ``workers``
+value (accepted, unused).
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +28,13 @@ import numpy as np
 from .errors import ConfigError, SimulationError
 from .faultlib import FaultConfig
 from .netlist import Circuit
-from .trajectory import TestVector, build_trajectories, count_intersections
+from .trajectory import TestVector, build_trajectories, count_intersections, intersection_counts
 
 logger = logging.getLogger(__name__)
+
+# Frequencies per ensemble solve while scoring a generation. The solve's
+# (faults, frequencies, size, size) complex stack sets the GA's peak memory.
+_SOLVE_FREQUENCIES = 8
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,22 @@ def fitness_from_intersections(intersections: int) -> float:
     return 1.0 / (intersections + 1)
 
 
+def _score(vectors, circuit, config, tol, origin_tol) -> list[float]:
+    """Fitness of equal-length test vectors from one ensemble solve.
+
+    When the solve fails, the vectors are rescored one by one, so only a
+    failing vector scores 0.0; the event is logged.
+    """
+    try:
+        counts = intersection_counts(circuit, config, vectors, tol, origin_tol)
+    except SimulationError as exc:
+        if len(vectors) > 1:
+            return [_score([tv], circuit, config, tol, origin_tol)[0] for tv in vectors]
+        logger.warning("fitness=0 for %s: %s", vectors[0].frequencies, exc)
+        return [0.0]
+    return [fitness_from_intersections(int(count)) for count in counts]
+
+
 def fitness(
     tv: TestVector,
     circuit: Circuit,
@@ -112,13 +137,25 @@ def fitness(
     A vector the solver cannot evaluate scores 0.0 so the search keeps
     going; the event is logged.
     """
-    try:
-        trajectories = build_trajectories(circuit, config, tv)
-    except SimulationError as exc:
-        logger.warning("fitness=0 for %s: %s", tv.frequencies, exc)
-        return 0.0
-    intersections, _ = count_intersections(trajectories, tol, origin_tol)
-    return fitness_from_intersections(intersections)
+    return _score([tv], circuit, config, tol, origin_tol)[0]
+
+
+def _roulette(fitnesses, size: int):
+    """Validated fitness-proportional sampler: ``draw(rng)`` -> index."""
+    weights = np.asarray(fitnesses, dtype=float)
+    if len(weights) != size:
+        raise ValueError("fitness list does not match population size")
+    if np.any(weights < 0.0):
+        raise ValueError("fitnesses must be non-negative")
+    total = float(weights.sum())
+    cumulative = np.cumsum(weights).tolist()
+
+    def draw(rng: np.random.Generator) -> int:
+        if total <= 0.0:
+            return int(rng.integers(size))
+        return min(bisect.bisect_right(cumulative, rng.random() * total), size - 1)
+
+    return draw
 
 
 def roulette_select(population, fitnesses, rng: np.random.Generator) -> int:
@@ -126,17 +163,7 @@ def roulette_select(population, fitnesses, rng: np.random.Generator) -> int:
 
     Falls back to a uniform draw when every fitness is zero.
     """
-    weights = np.asarray(fitnesses, dtype=float)
-    if len(weights) != len(population):
-        raise ValueError("fitness list does not match population size")
-    if np.any(weights < 0.0):
-        raise ValueError("fitnesses must be non-negative")
-    total = float(weights.sum())
-    if total <= 0.0:
-        return int(rng.integers(len(population)))
-    cumulative = np.cumsum(weights)
-    draw = rng.random() * total
-    return min(int(np.searchsorted(cumulative, draw, side="right")), len(population) - 1)
+    return _roulette(fitnesses, len(population))(rng)
 
 
 def _crossover(parent_a: Chromosome, parent_b: Chromosome, rng) -> Chromosome:
@@ -158,13 +185,14 @@ def step_generation(
     if size != config.population_size:
         raise ValueError("population size does not match the configuration")
     n_copies = round(config.reproduction_rate * size)
+    select = _roulette(fitnesses, size)
 
     offspring: list[Chromosome] = []
     for _ in range(n_copies):
-        offspring.append(population[roulette_select(population, fitnesses, rng)])
+        offspring.append(population[select(rng)])
     for _ in range(size - n_copies):
-        parent_a = population[roulette_select(population, fitnesses, rng)]
-        parent_b = population[roulette_select(population, fitnesses, rng)]
+        parent_a = population[select(rng)]
+        parent_b = population[select(rng)]
         offspring.append(_crossover(parent_a, parent_b, rng))
 
     lo, hi = config.bounds
@@ -180,16 +208,6 @@ def step_generation(
     return mutated
 
 
-def _evaluate(population, circuit, config, tol, origin_tol, workers) -> list[float]:
-    vectors = [individual.decode() for individual in population]
-    if workers <= 1:
-        return [fitness(tv, circuit, config, tol, origin_tol) for tv in vectors]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(lambda tv: fitness(tv, circuit, config, tol, origin_tol), vectors)
-        )
-
-
 def run_ga(
     circuit: Circuit,
     fault_config: FaultConfig,
@@ -201,7 +219,26 @@ def run_ga(
     """Evolve test vectors for a fixed number of generations.
 
     Returns the best-so-far vector and the full per-generation log.
+    ``workers`` is accepted for compatibility and has no effect: scoring
+    is batched in one thread.
     """
+    memo: dict[tuple[float, ...], float] = {}
+    per_solve = max(1, _SOLVE_FREQUENCIES // ga_config.n_frequencies)
+
+    def evaluate(population, generation) -> list[float]:
+        unseen = {c.genes: c.decode() for c in population if c.genes not in memo}
+        keys, vectors = list(unseen), list(unseen.values())
+        for k in range(0, len(keys), per_solve):
+            scores = _score(vectors[k : k + per_solve], circuit, fault_config, tol, origin_tol)
+            memo.update(zip(keys[k : k + per_solve], scores))
+        fitnesses = [memo[c.genes] for c in population]
+        logger.debug(
+            "generation %d: %d evaluations, %d unique, %d memo hits, %d fitness 0",
+            generation, len(population), len(unseen),
+            len(population) - len(unseen), fitnesses.count(0.0),
+        )
+        return fitnesses
+
     seeds = np.random.SeedSequence(ga_config.seed).spawn(ga_config.generations + 1)
     bounds = ga_config.bounds
     init_rng = np.random.Generator(np.random.PCG64(seeds[0]))
@@ -209,7 +246,7 @@ def run_ga(
         bounds[0], bounds[1], size=(ga_config.population_size, ga_config.n_frequencies)
     )
     population = [Chromosome(tuple(row.tolist()), bounds) for row in genes]
-    fitnesses = _evaluate(population, circuit, fault_config, tol, origin_tol, workers)
+    fitnesses = evaluate(population, 0)
 
     best_index = int(np.argmax(fitnesses))
     best_fitness = fitnesses[best_index]
@@ -221,9 +258,7 @@ def run_ga(
     for generation in range(1, ga_config.generations + 1):
         rng = np.random.Generator(np.random.PCG64(seeds[generation]))
         population = step_generation(population, fitnesses, ga_config, rng)
-        fitnesses = _evaluate(
-            population, circuit, fault_config, tol, origin_tol, workers
-        )
+        fitnesses = evaluate(population, generation)
         gen_best = int(np.argmax(fitnesses))
         if fitnesses[gen_best] > best_fitness:
             best_fitness = fitnesses[gen_best]

@@ -18,6 +18,7 @@ golden point by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class TestVector:
         object.__setattr__(self, "frequencies", tuple(float(f) for f in self.frequencies))
         if not self.frequencies:
             raise ValueError("test vector needs at least one frequency")
-        if any(f <= 0.0 for f in self.frequencies):
-            raise ValueError("test frequencies must be positive")
+        if not all(0.0 < f < math.inf for f in self.frequencies):
+            raise ValueError("test frequencies must be positive and finite")
 
     @property
     def degenerate(self) -> bool:
@@ -104,118 +105,124 @@ def signature(golden_mags, faulty_mags) -> tuple[float, ...]:
     return tuple(float(f) - float(g) for g, f in zip(golden_mags, faulty_mags))
 
 
+def _signature_stack(mags, config: FaultConfig, n: int) -> np.ndarray:
+    """Trajectory points of B test vectors from one ensemble solve.
+
+    ``mags`` holds the ensemble magnitudes at the B vectors' frequencies
+    side by side, shape (1 + faults, B * n). Returns (B, targets,
+    deviations + 1, n) golden-relative coordinates, ascending in deviation
+    with the origin inserted at deviation 0.
+    """
+    grid = config.deviations()
+    n_below = sum(d < 0.0 for d in grid)
+    diffs = (mags[1:] - mags[0]).reshape(len(config.targets), len(grid), -1, n)
+    return np.insert(diffs.transpose(2, 0, 1, 3), n_below, 0.0, axis=2)
+
+
 def build_trajectories(
     circuit: Circuit, config: FaultConfig, tv: TestVector
 ) -> list[Trajectory]:
     """One trajectory per fault target, sampled at the test frequencies."""
-    ensemble = ensemble_for(circuit, config)
-    mags = ensemble.magnitudes(np.asarray(tv.frequencies, dtype=float))
-    golden = mags[0]
-    n = len(tv.frequencies)
-    origin_coords = (0.0,) * n
-
-    grid = config.deviations()
-    per_component = len(grid)
-    trajectories = []
-    for ci, component in enumerate(config.targets):
-        rows = mags[1 + ci * per_component : 1 + (ci + 1) * per_component]
-        points = []
-        inserted_origin = False
-        for dev, row in zip(grid, rows):
-            if dev > 0.0 and not inserted_origin:
-                points.append(SignaturePoint(origin_coords, component, 0.0))
-                inserted_origin = True
-            coords = tuple((row - golden).tolist())
-            points.append(SignaturePoint(coords, component, dev))
-        if not inserted_origin:
-            points.append(SignaturePoint(origin_coords, component, 0.0))
-        trajectories.append(
-            Trajectory(component, tuple(points), degenerate=tv.degenerate)
+    mags = ensemble_for(circuit, config).magnitudes(np.asarray(tv.frequencies))
+    stack = _signature_stack(mags, config, len(tv.frequencies))[0]
+    grid = sorted(config.deviations() + (0.0,))
+    return [
+        Trajectory(
+            component,
+            tuple(
+                SignaturePoint(tuple(coords), component, dev)
+                for coords, dev in zip(points.tolist(), grid)
+            ),
+            degenerate=tv.degenerate,
         )
-    return trajectories
+        for component, points in zip(config.targets, stack)
+    ]
 
 
-def _segment_gaps(p0, p1, q0, q1):
-    """Pairwise minimum distances between two segment families.
+def _dot(x, y):
+    return np.einsum("...n,...n->...", x, y)
 
-    ``p0, p1``: (Sa, n) endpoints; ``q0, q1``: (Sb, n). Returns
-    ``(gap, s, t)`` of shape (Sa, Sb) with the clamped closest-point
-    parameters on each segment. Handles degenerate (zero-length) segments.
+
+def _cross2(x, y):
+    return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+
+
+def _ratio(num, den):
+    """``num / den`` where ``den > 0``, else 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def _cross_pairs(traj_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment index pairs ``i < j`` that belong to different trajectories."""
+    first, second = np.triu_indices(len(traj_of), 1)
+    keep = traj_of[first] != traj_of[second]
+    return first[keep], second[keep]
+
+
+def _incidences(p0, p1, first, second, tol, origin_tol=None, origin=0.0):
+    """Incident segment pairs of a batch of segment sets, all in numpy.
+
+    ``p0, p1``: (B, S, n) segment endpoints; ``first, second``: (P,)
+    segment indices of the pairs to test. A pair is incident when its
+    clamped closest-point distance is below ``tol``. Parallel pairs with a
+    positive common length are overlaps (point: middle of the common
+    part); the rest are crosses (point: the exact 2-D crossing, else
+    midway between the closest points). With ``origin_tol`` set, contacts
+    lying wholly within ``origin_tol`` of ``origin`` are dropped.
+
+    Returns ``(batch, pair, overlap, point)`` of the kept incidences in
+    (batch, pair) order; ``overlap`` is False for a cross.
     """
-    u = p1 - p0
-    v = q1 - q0
-    r = p0[:, None, :] - q0[None, :, :]
-    a = np.einsum("in,in->i", u, u)[:, None]
-    e = np.einsum("jn,jn->j", v, v)[None, :]
-    b = np.einsum("in,jn->ij", u, v)
-    c = np.einsum("in,ijn->ij", u, r)
-    f = np.einsum("jn,ijn->ij", v, r)
-
-    denom = a * e - b * b
-    shape = np.broadcast_shapes(denom.shape, c.shape)
-    s = np.zeros(shape)
-    np.divide(b * f - c * e, denom, out=s, where=denom > 0.0)
-    np.clip(s, 0.0, 1.0, out=s)
-
-    t = np.zeros(shape)
-    np.divide(b * s + f, np.broadcast_to(e, shape), out=t, where=e > 0.0)
-    clamped = (t < 0.0) | (t > 1.0)
-    np.clip(t, 0.0, 1.0, out=t)
-
-    s_edge = np.zeros(shape)
-    np.divide(b * t - c, np.broadcast_to(a, shape), out=s_edge, where=a > 0.0)
-    np.clip(s_edge, 0.0, 1.0, out=s_edge)
-    s = np.where(clamped, s_edge, s)
-
-    diff = r + s[..., None] * u[:, None, :] - t[..., None] * v[None, :, :]
-    gap = np.sqrt(np.einsum("ijn,ijn->ij", diff, diff))
-    return gap, s, t
-
-
-def _cross2(u, v) -> float:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _classify_incidence(a0, a1, b0, b1, s, t):
-    """Classify one incident segment pair.
-
-    Returns ``(kind, representative point, extreme points)`` where the
-    extreme points bound the contact region (a single point for a cross,
-    the overlap ends for a parallel overlap).
-    """
-    u = a1 - a0
-    v = b1 - b0
-    uu = float(u @ u)
-    vv = float(v @ v)
-    uv = float(u @ v)
+    d = p1 - p0
+    dd = _dot(d, d)
+    u, v = d[:, first], d[:, second]
+    uu, vv = dd[:, first], dd[:, second]
+    r = p0[:, first] - p0[:, second]
+    uv, ur, vr = _dot(u, v), _dot(u, r), _dot(v, r)
     denom = uu * vv - uv * uv
+    s = np.clip(_ratio(uv * vr - ur * vv, denom), 0.0, 1.0)
+    t = _ratio(uv * s + vr, vv)
+    # a zero-length second segment is a point: project it onto the first
+    edge = (t < 0.0) | (t > 1.0) | (vv <= 0.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    s = np.where(edge, np.clip(_ratio(uv * t - ur, uu), 0.0, 1.0), s)
+    diff = r + s[..., None] * u - t[..., None] * v
+    batch, pair = np.nonzero(np.sqrt(_dot(diff, diff)) < tol)
 
-    if uu > 0.0 and vv > 0.0 and denom <= 1e-12 * uu * vv:
-        lo_b = float((b0 - a0) @ u) / uu
-        hi_b = float((b1 - a0) @ u) / uu
-        lo = max(0.0, min(lo_b, hi_b))
-        hi = min(1.0, max(lo_b, hi_b))
-        if hi > lo:
-            p_lo = a0 + lo * u
-            p_hi = a0 + hi * u
-            rep = a0 + (0.5 * (lo + hi)) * u
-            return OVERLAP, rep, (p_lo, p_hi)
+    i, j = first[pair], second[pair]
+    a0, a1, b0, b1 = p0[batch, i], p1[batch, i], p0[batch, j], p1[batch, j]
+    u, v, uu, vv = d[batch, i], d[batch, j], dd[batch, i], dd[batch, j]
+    s, t, denom = s[batch, pair], t[batch, pair], denom[batch, pair]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo_b = _dot(b0 - a0, u) / uu
+        hi_b = _dot(b1 - a0, u) / uu
+        lo = np.maximum(0.0, np.minimum(lo_b, hi_b))
+        hi = np.minimum(1.0, np.maximum(lo_b, hi_b))
+        overlap = (uu > 0.0) & (vv > 0.0) & (denom <= 1e-12 * uu * vv) & (hi > lo)
 
-    if len(a0) == 2:
-        w0 = b0 - a0
-        w1 = b1 - a0
-        o1 = _cross2(u, w0)
-        o2 = _cross2(u, w1)
-        o3 = _cross2(v, a0 - b0)
-        o4 = _cross2(v, a1 - b0)
-        uxv = _cross2(u, v)
-        if o1 * o2 < 0.0 and o3 * o4 < 0.0 and uxv != 0.0:
-            s_x = _cross2(w0, v) / uxv
-            rep = a0 + s_x * u
-            return CROSS, rep, (rep,)
+        point = 0.5 * ((a0 + s[:, None] * u) + (b0 + t[:, None] * v))
+        if a0.shape[-1] == 2:
+            w0 = b0 - a0
+            uxv = _cross2(u, v)
+            proper = (
+                (_cross2(u, w0) * _cross2(u, b1 - a0) < 0.0)
+                & (_cross2(v, a0 - b0) * _cross2(v, a1 - b0) < 0.0)
+                & (uxv != 0.0)
+            )
+            crossing = a0 + (_cross2(w0, v) / uxv)[:, None] * u
+            point = np.where(proper[:, None], crossing, point)
+        lo_end = np.where(overlap[:, None], a0 + lo[:, None] * u, point)
+        hi_end = np.where(overlap[:, None], a0 + hi[:, None] * u, point)
+        mid = a0 + (0.5 * (lo + hi))[:, None] * u
+    point = np.where(overlap[:, None], mid, point)
 
-    rep = 0.5 * ((a0 + s * u) + (b0 + t * v))
-    return CROSS, rep, (rep,)
+    keep = slice(None)
+    if origin_tol is not None:
+        reach = np.maximum(
+            *(np.sqrt(_dot(e - origin, e - origin)) for e in (lo_end, hi_end))
+        )
+        keep = reach > origin_tol
+    return batch[keep], pair[keep], overlap[keep], point[keep]
 
 
 def segment_incidence(a0, a1, b0, b1, tol: float):
@@ -229,12 +236,12 @@ def segment_incidence(a0, a1, b0, b1, tol: float):
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    a0, a1, b0, b1 = (np.asarray(p, dtype=float) for p in (a0, a1, b0, b1))
-    gap, s, t = _segment_gaps(a0[None, :], a1[None, :], b0[None, :], b1[None, :])
-    if gap[0, 0] >= tol:
+    p0 = np.asarray([[a0, b0]], dtype=float)
+    p1 = np.asarray([[a1, b1]], dtype=float)
+    _, _, overlap, point = _incidences(p0, p1, np.array([0]), np.array([1]), tol)
+    if not len(point):
         return None
-    kind, rep, _ = _classify_incidence(a0, a1, b0, b1, s[0, 0], t[0, 0])
-    return kind, tuple(rep.tolist())
+    return (OVERLAP if overlap[0] else CROSS), tuple(point[0].tolist())
 
 
 def count_intersections(
@@ -262,46 +269,49 @@ def count_intersections(
     if origin.shape != (n,):
         raise ValueError("origin dimension does not match trajectories")
 
-    starts, ends, traj_of, seg_of = [], [], [], []
-    for ti, traj in enumerate(trajectories):
-        pts = [p.coords for p in traj.points]
-        for si in range(len(pts) - 1):
-            starts.append(pts[si])
-            ends.append(pts[si + 1])
-            traj_of.append(ti)
-            seg_of.append(si)
-    p0 = np.asarray(starts)
-    p1 = np.asarray(ends)
-    traj_of = np.asarray(traj_of)
-
-    gap, s, t = _segment_gaps(p0, p1, p0, p1)
-    candidate = (
-        (gap < tol)
-        & (traj_of[:, None] != traj_of[None, :])
-        & (np.arange(len(p0))[:, None] < np.arange(len(p0))[None, :])
+    points = [np.asarray([p.coords for p in traj.points]) for traj in trajectories]
+    p0 = np.concatenate([pts[:-1] for pts in points])
+    p1 = np.concatenate([pts[1:] for pts in points])
+    traj_of = np.repeat(np.arange(len(points)), [len(pts) - 1 for pts in points])
+    seg_of = np.concatenate([np.arange(len(pts) - 1) for pts in points])
+    first, second = _cross_pairs(traj_of)
+    _, pair, overlap, point = _incidences(
+        p0[None], p1[None], first, second, tol, origin_tol, origin
     )
+    names = [traj.component for traj in trajectories]
+    records = [
+        IncidenceRecord(
+            names[traj_of[i]], int(seg_of[i]), names[traj_of[j]], int(seg_of[j]),
+            OVERLAP if is_overlap else CROSS, tuple(rep),
+        )
+        for i, j, is_overlap, rep in zip(
+            first[pair], second[pair], overlap.tolist(), point.tolist()
+        )
+    ]
+    return len(records), records
 
-    count = 0
-    records = []
-    for si, sj in zip(*np.nonzero(candidate)):
-        kind, rep, extremes = _classify_incidence(
-            p0[si], p1[si], p0[sj], p1[sj], s[si, sj], t[si, sj]
-        )
-        reach = max(float(np.sqrt((p - origin) @ (p - origin))) for p in extremes)
-        if reach <= origin_tol:
-            continue
-        count += 1
-        records.append(
-            IncidenceRecord(
-                trajectories[traj_of[si]].component,
-                seg_of[si],
-                trajectories[traj_of[sj]].component,
-                seg_of[sj],
-                kind,
-                tuple(rep.tolist()),
-            )
-        )
-    return count, records
+
+def intersection_counts(
+    circuit: Circuit, config: FaultConfig, vectors, tol=1e-6, origin_tol=None
+) -> np.ndarray:
+    """Intersection count of each equal-length test vector, one solve for all.
+
+    Count-only counterpart of ``build_trajectories`` followed by
+    :func:`count_intersections`, with the same results.
+    """
+    if tol <= 0.0:
+        raise ValueError("tolerance must be positive")
+    n = len(vectors[0].frequencies)
+    omegas = np.concatenate([tv.frequencies for tv in vectors])
+    stack = _signature_stack(ensemble_for(circuit, config).magnitudes(omegas), config, n)
+    batch, targets, n_points = stack.shape[:3]
+    p0 = stack[:, :, :-1].reshape(batch, -1, n)
+    p1 = stack[:, :, 1:].reshape(batch, -1, n)
+    first, second = _cross_pairs(np.repeat(np.arange(targets), n_points - 1))
+    hits, _, _, _ = _incidences(
+        p0, p1, first, second, tol, tol if origin_tol is None else origin_tol
+    )
+    return np.bincount(hits, minlength=batch)
 
 
 def write_trajectories_csv(path, trajectories) -> None:

@@ -75,3 +75,129 @@ def random_segment_pairs(rng, count, tol, guard=(0.1, 10.0)):
             continue
         produced += 1
         yield a0, a1, b0, b1, gap
+
+
+# ------------------------------------------------- scalar incidence reference
+#
+# The counter the package's vectorized kernel replaced: closed-form gaps
+# for all segment pairs at once, then every incident pair classified one
+# at a time in plain Python floats. Kept as the slow reference.
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _sub(x, y):
+    return [a - b for a, b in zip(x, y)]
+
+
+def _axpy(alpha, x, y):
+    """``y + alpha * x``."""
+    return [b + alpha * a for a, b in zip(x, y)]
+
+
+def _cross2(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def segment_gaps(p0, p1, q0, q1):
+    """Pairwise minimum distances between two segment families.
+
+    ``p0, p1``: (Sa, n) endpoints; ``q0, q1``: (Sb, n). Returns
+    ``(gap, s, t)`` of shape (Sa, Sb) with the clamped closest-point
+    parameters on each segment. A zero-length segment is a point.
+    """
+    u = p1 - p0
+    v = q1 - q0
+    r = p0[:, None, :] - q0[None, :, :]
+    a = np.einsum("in,in->i", u, u)[:, None]
+    e = np.einsum("jn,jn->j", v, v)[None, :]
+    b = np.einsum("in,jn->ij", u, v)
+    c = np.einsum("in,ijn->ij", u, r)
+    f = np.einsum("jn,ijn->ij", v, r)
+
+    denom = a * e - b * b
+    shape = np.broadcast_shapes(denom.shape, c.shape)
+    s = np.zeros(shape)
+    np.divide(b * f - c * e, denom, out=s, where=denom > 0.0)
+    np.clip(s, 0.0, 1.0, out=s)
+
+    t = np.zeros(shape)
+    np.divide(b * s + f, np.broadcast_to(e, shape), out=t, where=e > 0.0)
+    clamped = (t < 0.0) | (t > 1.0) | (e <= 0.0)
+    np.clip(t, 0.0, 1.0, out=t)
+
+    s_edge = np.zeros(shape)
+    np.divide(b * t - c, np.broadcast_to(a, shape), out=s_edge, where=a > 0.0)
+    np.clip(s_edge, 0.0, 1.0, out=s_edge)
+    s = np.where(clamped, s_edge, s)
+
+    diff = r + s[..., None] * u[:, None, :] - t[..., None] * v[None, :, :]
+    gap = np.sqrt(np.einsum("ijn,ijn->ij", diff, diff))
+    return gap, s, t
+
+
+def classify_incidence(a0, a1, b0, b1, s, t):
+    """Classify one incident segment pair.
+
+    Returns ``(kind, representative point, extreme points)`` where the
+    extreme points bound the contact region (a single point for a cross,
+    the overlap ends for a parallel overlap).
+    """
+    u = _sub(a1, a0)
+    v = _sub(b1, b0)
+    uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
+    denom = uu * vv - uv * uv
+
+    if uu > 0.0 and vv > 0.0 and denom <= 1e-12 * uu * vv:
+        lo_b = _dot(_sub(b0, a0), u) / uu
+        hi_b = _dot(_sub(b1, a0), u) / uu
+        lo = max(0.0, min(lo_b, hi_b))
+        hi = min(1.0, max(lo_b, hi_b))
+        if hi > lo:
+            rep = _axpy(0.5 * (lo + hi), u, a0)
+            return "overlap", rep, (_axpy(lo, u, a0), _axpy(hi, u, a0))
+
+    if len(a0) == 2:
+        w0 = _sub(b0, a0)
+        o1 = _cross2(u, w0)
+        o2 = _cross2(u, _sub(b1, a0))
+        o3 = _cross2(v, _sub(a0, b0))
+        o4 = _cross2(v, _sub(a1, b0))
+        uxv = _cross2(u, v)
+        if o1 * o2 < 0.0 and o3 * o4 < 0.0 and uxv != 0.0:
+            rep = _axpy(_cross2(w0, v) / uxv, u, a0)
+            return "cross", rep, (rep,)
+
+    rep = [0.5 * (p + q) for p, q in zip(_axpy(s, u, a0), _axpy(t, v, b0))]
+    return "cross", rep, (rep,)
+
+
+def reference_count(trajectories, tol):
+    """``(I, records)`` like ``count_intersections(trajectories, tol)``.
+
+    Records are ``(component_a, segment_a, component_b, segment_b, kind,
+    point)`` tuples in the order the package emits them.
+    """
+    segments = [
+        (traj.component, index, p.coords, q.coords)
+        for traj in trajectories
+        for index, (p, q) in enumerate(zip(traj.points, traj.points[1:]))
+    ]
+    if not segments:
+        return 0, []
+    p0 = np.asarray([seg[2] for seg in segments])
+    p1 = np.asarray([seg[3] for seg in segments])
+    gap, s, t = segment_gaps(p0, p1, p0, p1)
+    records = []
+    for i, j in zip(*np.nonzero(gap < tol)):
+        (comp_a, seg_a, a0, a1), (comp_b, seg_b, b0, b1) = segments[i], segments[j]
+        if i >= j or comp_a == comp_b:
+            continue
+        kind, rep, extremes = classify_incidence(
+            a0, a1, b0, b1, float(s[i, j]), float(t[i, j])
+        )
+        if max(_dot(p, p) ** 0.5 for p in extremes) > tol:
+            records.append((comp_a, seg_a, comp_b, seg_b, kind, tuple(rep)))
+    return len(records), records

@@ -243,6 +243,64 @@ def test_diagnose_unknown_inject_component(tmp_path, capsys):
     assert "X7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan,nan", "inf,-1", "-inf,-1"])
+def test_diagnose_measured_non_finite(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    plant_best_vector(out, ORACLE_VECTOR)
+    assert run(["diagnose", "--outdir", out, f"--measured={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and len(err.splitlines()) == 1
+    assert not (out / "diagnosis.csv").exists()
+
+
+@pytest.mark.parametrize("amount", ["-1", "-1.5", "nan", "inf"])
+def test_diagnose_inject_impossible_deviation(tmp_path, capsys, amount):
+    out = tmp_path / "out"
+    plant_best_vector(out, ORACLE_VECTOR)
+    assert run(["diagnose", "--outdir", out, f"--inject=R3:{amount}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --inject") and len(err.splitlines()) == 1
+
+
+def test_diagnose_best_vector_unknown_unit(tmp_path, capsys):
+    out = tmp_path / "out"
+    plant_best_vector(out, ORACLE_VECTOR, unit="mhz")
+    assert run(["diagnose", "--outdir", out, "--inject", "R3:0.2"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown unit 'mhz'" in err and len(err.splitlines()) == 1
+
+
+def test_diagnose_best_vector_corrupt_json(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "best_vector.json").write_text('{"frequencies": [0.01, ')
+    assert run(["diagnose", "--outdir", out, "--inject", "R3:0.2"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid JSON" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "payload,fragment",
+    [
+        ({"unit": "rad/s"}, "KeyError"),
+        ([0.01, 0.3], "TypeError"),
+        ({"frequencies": 0.5}, "TypeError"),
+        ({"frequencies": [0.5, "x"]}, "could not convert"),
+        ({"frequencies": [0.5, -1.0]}, "positive and finite"),
+        ({"frequencies": [0.5, 1e400]}, "positive and finite"),
+        ({"frequencies": []}, "at least one frequency"),
+    ],
+)
+def test_diagnose_best_vector_bad_content(tmp_path, capsys, payload, fragment):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "best_vector.json").write_text(json.dumps(payload))
+    assert run(["diagnose", "--outdir", out, "--inject", "R3:0.2"]) == 2
+    err = capsys.readouterr().err
+    assert "missing or bad 'frequencies'" in err and fragment in err
+    assert len(err.splitlines()) == 1
+
+
 def test_diagnose_requires_best_vector(tmp_path, capsys):
     assert run(["diagnose", "--outdir", tmp_path, "--inject", "R1:0.2"]) == 2
     assert "best_vector.json" in capsys.readouterr().err

@@ -1,10 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
 
-from trajdiag.errors import ConfigError
+from trajdiag import evolve
+from trajdiag.errors import ConfigError, SimulationError
 from trajdiag.evolve import (
     Chromosome,
     GaConfig,
+    _score,
     fitness,
     fitness_from_intersections,
     roulette_select,
@@ -12,6 +16,7 @@ from trajdiag.evolve import (
     step_generation,
     write_ga_log_csv,
 )
+from trajdiag.faultlib import FaultEnsemble
 from trajdiag.netlist import parse_netlist
 from trajdiag.trajectory import TestVector, build_trajectories, count_intersections
 
@@ -82,6 +87,19 @@ def test_roulette_all_zero_uniform_fallback():
     rng = _rng(4)
     draws = {roulette_select([0, 1, 2], [0.0, 0.0, 0.0], rng) for _ in range(200)}
     assert draws == {0, 1, 2}
+
+
+def test_roulette_matches_cumulative_search():
+    # the draw is the first index whose running fitness sum exceeds
+    # rng.random() * total, exactly as a per-draw cumsum/searchsorted
+    weights = _rng(13).uniform(0.0, 1.0, 50)
+    weights[[3, 17, 40]] = 0.0
+    cumulative = np.cumsum(weights)
+    got_rng, want_rng = _rng(14), _rng(14)
+    for _ in range(2000):
+        got = roulette_select(range(50), weights, got_rng)
+        draw = want_rng.random() * float(weights.sum())
+        assert got == min(int(np.searchsorted(cumulative, draw, side="right")), 49)
 
 
 def test_roulette_validation():
@@ -237,3 +255,72 @@ def test_ga_log_csv(tmp_path, biquad, biquad_faults):
     fields = lines[1].split(",")
     assert fields[0] == "0"
     assert float(fields[1]) == log.records[0].best_fitness
+
+
+# ---------------------------------------------------------------- batched scoring
+
+
+def test_batched_scores_equal_single_vector_fitness(biquad, biquad_faults):
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3):
+        vectors = [
+            TestVector(tuple((10.0 ** rng.uniform(-2.0, 2.0, n)).tolist()))
+            for _ in range(11)
+        ]
+        batched = _score(vectors, biquad, biquad_faults, 1e-6, None)
+        single = [fitness(tv, biquad, biquad_faults, 1e-6) for tv in vectors]
+        assert batched == single
+
+
+def test_batch_failure_scores_only_the_failing_vector(
+    biquad, biquad_faults, monkeypatch, caplog
+):
+    bad = 0.777
+    vectors = [TestVector((0.3 + 0.2 * k, 1.7)) for k in range(7)]
+    vectors[2] = TestVector((bad, 1.7))
+    expected = [fitness(tv, biquad, biquad_faults, 1e-6) for tv in vectors]
+    original = FaultEnsemble.magnitudes
+
+    def failing_at_bad(self, omegas):
+        if bad in np.asarray(omegas):
+            raise SimulationError("injected failure")
+        return original(self, omegas)
+
+    monkeypatch.setattr(FaultEnsemble, "magnitudes", failing_at_bad)
+    with caplog.at_level("WARNING"):
+        scores = _score(vectors, biquad, biquad_faults, 1e-6, None)
+    assert scores[2] == 0.0
+    assert scores[:2] + scores[3:] == expected[:2] + expected[3:]
+    warnings = [m for m in caplog.messages if "fitness=0" in m]
+    assert len(warnings) == 1 and str(bad) in warnings[0]
+
+
+def test_run_ga_scores_each_distinct_vector_once(biquad, biquad_faults, monkeypatch):
+    config = GaConfig(seed=88, **SMALL)
+    _, expected = run_ga(biquad, biquad_faults, config)
+    batches = []
+    original = evolve.intersection_counts
+
+    def recording(circuit, fault_config, vectors, tol, origin_tol):
+        batches.append([tv.frequencies for tv in vectors])
+        return original(circuit, fault_config, vectors, tol, origin_tol)
+
+    monkeypatch.setattr(evolve, "intersection_counts", recording)
+    _, log = run_ga(biquad, biquad_faults, config)
+    assert log == expected
+    scored = [freqs for batch in batches for freqs in batch]
+    assert len(scored) == len(set(scored))
+    assert all(len(batch) <= evolve._SOLVE_FREQUENCIES // 2 for batch in batches)
+
+
+def test_run_ga_debug_counters(biquad, biquad_faults, caplog):
+    config = GaConfig(seed=99, **SMALL)
+    with caplog.at_level(logging.DEBUG, logger="trajdiag.evolve"):
+        run_ga(biquad, biquad_faults, config)
+    lines = [m for m in caplog.messages if m.startswith("generation ")]
+    assert len(lines) == config.generations + 1
+    assert lines[0].startswith("generation 0: 12 evaluations, ")
+    for line in lines:
+        fields = line.split(": ")[1].split(", ")
+        evaluations, unique, hits, zero = (int(f.split()[0]) for f in fields)
+        assert evaluations == 12 and unique + hits == evaluations and zero == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajdiag.faultlib import FaultConfig, enumerate_faults, evaluate_at
 from trajdiag.trajectory import (
@@ -10,6 +12,7 @@ from trajdiag.trajectory import (
     Trajectory,
     build_trajectories,
     count_intersections,
+    intersection_counts,
     read_trajectories_csv,
     segment_incidence,
     signature,
@@ -17,7 +20,7 @@ from trajdiag.trajectory import (
     write_trajectories_csv,
 )
 
-from oracle_utils import random_segment_pairs, sampled_gap
+from oracle_utils import random_segment_pairs, reference_count, sampled_gap
 
 
 def make_trajectory(component, pts, devs=None):
@@ -304,6 +307,150 @@ def test_sampling_oracle_self_check():
         np.array([0.0, 0.0]), np.array([2.0, 2.0]),
         np.array([0.0, 2.0]), np.array([2.0, 0.0]),
     ) < 1e-3
+
+
+# ------------------------------------------- vectorized kernel vs reference
+
+
+def assert_matches_reference(trajectories):
+    """count_intersections equals the scalar reference, record by record."""
+    count, records = count_intersections(trajectories, 1e-6)
+    ref_count, ref_records = reference_count(trajectories, 1e-6)
+    assert count == ref_count == len(records)
+    for got, want in zip(records, ref_records):
+        assert (
+            got.component_a, got.segment_a, got.component_b, got.segment_b, got.kind
+        ) == want[:5]
+        assert np.max(np.abs(np.subtract(got.point, want[5]))) <= 1e-12, (got, want)
+    return count
+
+
+def assert_batch_matches_reference(circuit, config, vectors, chunk=64):
+    counts = np.concatenate(
+        [
+            intersection_counts(circuit, config, vectors[k : k + chunk])
+            for k in range(0, len(vectors), chunk)
+        ]
+    )
+    for tv, batched in zip(vectors, counts):
+        trajectories = build_trajectories(circuit, config, tv)
+        assert assert_matches_reference(trajectories) == batched, tv.frequencies
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_matches_reference_on_random_vectors(biquad, biquad_faults, n):
+    rng = np.random.default_rng(7100 + n)
+    vectors = [
+        TestVector(tuple((10.0 ** rng.uniform(-2.0, 2.0, n)).tolist()))
+        for _ in range(2000)
+    ]
+    assert_batch_matches_reference(biquad, biquad_faults, vectors)
+
+
+def test_kernel_matches_reference_on_c6_grid(biquad, biquad_faults):
+    grid = np.geomspace(0.01, 100.0, 100)
+    vectors = [
+        TestVector((grid[i], grid[j])) for i in range(100) for j in range(i, 100)
+    ]
+    assert len(vectors) == 5050  # includes the 100 duplicate-frequency vectors
+    assert_batch_matches_reference(biquad, biquad_faults, vectors)
+
+
+def test_kernel_degenerate_vectors(biquad, biquad_faults):
+    vectors = [TestVector((f, f)) for f in (0.05, 1.0, 30.0)]
+    vectors += [TestVector((0.3, 0.3, 2.0)), TestVector((2.0, 0.3, 2.0))]
+    for tv in vectors:
+        assert tv.degenerate
+    for size in (2, 3):
+        same = [tv for tv in vectors if len(tv.frequencies) == size]
+        counts = intersection_counts(biquad, biquad_faults, same)
+        for tv, batched in zip(same, counts):
+            trajectories = build_trajectories(biquad, biquad_faults, tv)
+            assert assert_matches_reference(trajectories) == batched
+    # with n = 2, every trajectory collapses onto the diagonal
+    assert all(intersection_counts(biquad, biquad_faults, vectors[:3]) > 0)
+
+
+@pytest.mark.parametrize(
+    "a_pts,b_pts,expected",
+    [
+        # collinear overlaps away from, and starting at, the origin
+        ([(1.0, 0.0), (2.0, 0.0)], [(0.5, 0.0), (1.5, 0.0)], 3),
+        ([(1.0, 1.0)], [(2.0, 2.0), (3.0, 3.0)], 1),
+        ([(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], [(1.5, 1.5, 1.5), (3.0, 3.0, 3.0)], 3),
+        # collinear, touching end to end at the origin only
+        ([(1.0, 0.0)], [(-1.0, 0.0)], 0),
+        # shared segment and endpoint off the origin, and an exact crossing
+        ([(1.0, 1.0), (2.0, 0.0)], [(1.0, 1.0), (0.0, 2.0)], 4),
+        ([(1.0, 1.0), (2.0, 0.0)], [(1.0, 0.0), (2.0, 1.0)], 1),
+        # zero-length segments (repeated points) on another trajectory
+        ([(1.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0.5, 1.0), (1.5, 0.0), (1.5, 0.0)], 2),
+        ([(2.0, 0.0)], [(0.5, 0.5), (1.0, 0.0), (1.0, 0.0)], 2),
+    ],
+)
+def test_kernel_constructed_configurations(a_pts, b_pts, expected):
+    a = make_trajectory("A", a_pts)
+    b = make_trajectory("B", b_pts)
+    assert assert_matches_reference([a, b]) == expected
+    assert assert_matches_reference([b, a]) == expected
+
+
+def _lattice_trajectory(draw, name, dim):
+    point = st.tuples(*[st.integers(-3, 3).map(float)] * dim)
+    below = draw(st.lists(point, max_size=2))
+    above = draw(st.lists(point, min_size=1, max_size=3))
+    origin = SignaturePoint((0.0,) * dim, name, 0.0)
+    return Trajectory(
+        name,
+        tuple(
+            SignaturePoint(p, name, -0.1 * (len(below) - k)) for k, p in enumerate(below)
+        )
+        + (origin,)
+        + tuple(SignaturePoint(p, name, 0.1 * (k + 1)) for k, p in enumerate(above)),
+    )
+
+
+@st.composite
+def lattice_trajectories(draw):
+    """2-4 trajectories on a small integer lattice.
+
+    Lattice geometry keeps every true contact distance either exactly 0
+    or far above the tolerances, so rounding cannot flip a decision.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    count = draw(st.integers(2, 4))
+    return [_lattice_trajectory(draw, f"T{k}", dim) for k in range(count)]
+
+
+def _record_map(records):
+    return {
+        frozenset({(r.component_a, r.segment_a), (r.component_b, r.segment_b)}): (
+            r.kind,
+            r.point,
+        )
+        for r in records
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lattice_trajectories(), st.randoms(use_true_random=False))
+def test_count_invariant_under_trajectory_order(trajectories, random):
+    base = assert_matches_reference(trajectories)
+    shuffled = list(trajectories)
+    random.shuffle(shuffled)
+    assert count_intersections(shuffled, 1e-6)[0] == base
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lattice_trajectories())
+def test_record_set_symmetric(trajectories):
+    _, forward = count_intersections(trajectories, 1e-6)
+    _, backward = count_intersections(trajectories[::-1], 1e-6)
+    forward, backward = _record_map(forward), _record_map(backward)
+    assert forward.keys() == backward.keys()
+    for key, (kind, point) in forward.items():
+        assert backward[key][0] == kind
+        assert backward[key][1] == pytest.approx(point, abs=1e-12)
 
 
 # ---------------------------------------------------------------- csv round trip
