@@ -194,15 +194,3 @@ def log_grid(f_min: float, f_max: float, points: int) -> np.ndarray:
         return np.asarray([f_min])
     return np.geomspace(f_min, f_max, points)
 
-
-def write_curve_csv(path, curve: ResponseCurve, frequencies=None) -> None:
-    """Write ``freq,mag_db`` rows at full double precision.
-
-    ``frequencies`` overrides the frequency column (used by the CLI to echo
-    user-unit values); magnitudes always come from the curve.
-    """
-    freqs = curve.frequencies if frequencies is None else tuple(frequencies)
-    with open(path, "w", newline="") as fh:
-        fh.write("freq,mag_db\n")
-        for f, m in zip(freqs, curve.magnitudes_db):
-            fh.write(f"{f:.17g},{m:.17g}\n")

@@ -19,7 +19,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +29,15 @@ from .data import biquad_path
 from .diagnose import classify, format_report, write_diagnosis_csv
 from .errors import ConfigError, NetlistError, TrajdiagError
 from .evolve import GaConfig, run_ga, write_ga_log_csv
-from .faultlib import FaultConfig, FaultSpec, build_dictionary, evaluate_at, write_dictionary_csv
+from .faultlib import (
+    FaultConfig,
+    FaultSpec,
+    build_dictionary,
+    check_grid,
+    evaluate_at,
+    validate_targets,
+    write_dictionary_csv,
+)
 from .netlist import PASSIVE_KINDS, parse_netlist
 from .trajectory import (
     TestVector,
@@ -44,34 +53,76 @@ _UNITS = {"rad/s": 1.0, "hz": 2.0 * math.pi}
 
 @dataclass
 class RunConfig:
-    """Validated run settings; flat so JSON keys and flags line up."""
+    """Validated run settings; flat so JSON keys and flags line up.
+
+    This is the one declaration of the run schema: each field is a JSON
+    key and a ``--dashed-name`` flag, and values are coerced to the field's
+    type. ``ga`` holds the GA settings built from the fields (band in rad/s).
+    """
 
     netlist: str = ""
     outdir: str = "out"
     unit: str = "rad/s"
-    f_min: float = 0.01
-    f_max: float = 100.0
+    f_min: float = GaConfig.f_min
+    f_max: float = GaConfig.f_max
     grid: int = 201
     targets: tuple[str, ...] | None = None
-    range_low: float = 0.6
-    range_high: float = 1.4
-    step: float = 0.1
-    population_size: int = 128
-    generations: int = 15
-    reproduction_rate: float = 0.5
-    mutation_rate: float = 0.4
-    n_frequencies: int = 2
-    seed: int = 1
+    range_low: float = FaultConfig.range_low
+    range_high: float = FaultConfig.range_high
+    step: float = FaultConfig.step
+    population_size: int = GaConfig.population_size
+    generations: int = GaConfig.generations
+    reproduction_rate: float = GaConfig.reproduction_rate
+    mutation_rate: float = GaConfig.mutation_rate
+    n_frequencies: int = GaConfig.n_frequencies
+    seed: int = GaConfig.seed
     tol: float = 1e-6
     origin_tol: float = 1e-6
     ambiguity_margin: float = 0.05
+
+    def __post_init__(self):
+        if not self.netlist:
+            self.netlist = str(biquad_path())
+        if not Path(self.netlist).is_file():
+            raise ConfigError(f"config field 'netlist': file not found: {self.netlist}")
+        self.unit = self.unit.lower()
+        if self.unit not in _UNITS:
+            raise ConfigError(
+                f"config field 'unit': expected one of {sorted(_UNITS)}, got {self.unit!r}"
+            )
+        if self.grid < 1:
+            raise ConfigError("config field 'grid': need at least one sweep point")
+        for name in ("tol", "origin_tol"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"config field {name!r}: must be positive")
+        if self.ambiguity_margin < 0.0:
+            raise ConfigError("config field 'ambiguity_margin': must be non-negative")
+        try:
+            check_grid(self.range_low, self.range_high, self.step)
+        except ConfigError as exc:
+            raise ConfigError(
+                f"config field 'range_low'/'range_high'/'step': {exc}"
+            ) from None
+        try:
+            self.ga = GaConfig(
+                population_size=self.population_size,
+                generations=self.generations,
+                reproduction_rate=self.reproduction_rate,
+                mutation_rate=self.mutation_rate,
+                n_frequencies=self.n_frequencies,
+                f_min=self.f_min * self.omega_scale,
+                f_max=self.f_max * self.omega_scale,
+                seed=self.seed,
+            )
+        except ConfigError as exc:
+            raise ConfigError(f"config field (GA): {exc}") from None
 
     @property
     def omega_scale(self) -> float:
         return _UNITS[self.unit]
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def load_config(config_path: str | None, overrides: dict) -> RunConfig:
@@ -92,70 +143,35 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
                 raise ConfigError(f"config field {key!r}: unknown field")
         values.update(loaded)
     values.update({k: v for k, v in overrides.items() if v is not None})
-
-    config = RunConfig()
-    for key, value in values.items():
-        try:
-            setattr(config, key, _coerce(key, value))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config field {key!r}: {exc}") from None
-    _validate(config)
-    return config
+    try:
+        for key, value in values.items():
+            values[key] = _coerce(_FIELD_TYPES[key], value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config field {key!r}: {exc}") from None
+    return RunConfig(**values)
 
 
-def _coerce(key: str, value):
-    if key == "targets":
-        if value is None:
-            return None
-        if isinstance(value, str):
-            value = [v for v in value.split(",") if v]
-        return tuple(str(v) for v in value)
-    if key in ("netlist", "outdir"):
-        return str(value)
-    if key == "unit":
-        return str(value).lower()
-    if key in ("grid", "population_size", "generations", "n_frequencies", "seed"):
+def _coerce(kind, value):
+    """``value`` (JSON value or flag string) as the declared field type."""
+    if kind in (int, float) and isinstance(value, bool):
+        raise TypeError(f"expected {kind.__name__}, got a boolean")
+    if kind is int:
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"expected an integer, got {value}")
         return int(value)
-    return float(value)
-
-
-def _validate(config: RunConfig) -> None:
-    if not config.netlist:
-        config.netlist = str(biquad_path())
-    if not Path(config.netlist).is_file():
-        raise ConfigError(f"config field 'netlist': file not found: {config.netlist}")
-    if config.unit not in _UNITS:
-        raise ConfigError(
-            f"config field 'unit': expected one of {sorted(_UNITS)}, got {config.unit!r}"
-        )
-    if not (0.0 < config.f_min < config.f_max):
-        raise ConfigError("config field 'f_min'/'f_max': need 0 < f_min < f_max")
-    if config.grid < 1:
-        raise ConfigError("config field 'grid': need at least one sweep point")
-    for name in ("tol", "origin_tol"):
-        if getattr(config, name) <= 0.0:
-            raise ConfigError(f"config field {name!r}: must be positive")
-    if config.ambiguity_margin < 0.0:
-        raise ConfigError("config field 'ambiguity_margin': must be non-negative")
-    try:
-        FaultConfig(("placeholder",), config.range_low, config.range_high, config.step)
-    except ConfigError as exc:
-        raise ConfigError(f"config field 'range_low'/'range_high'/'step': {exc}") from None
-    try:
-        GaConfig(
-            population_size=config.population_size,
-            generations=config.generations,
-            reproduction_rate=config.reproduction_rate,
-            mutation_rate=config.mutation_rate,
-            n_frequencies=config.n_frequencies,
-            f_min=config.f_min,
-            f_max=config.f_max,
-            seed=config.seed,
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"config field (GA): {exc}") from None
+    if kind is float:
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        return value
+    if kind is str:
+        return str(value)
+    # tuple[str, ...] | None: a list, or one comma-separated string
+    if value is None:
+        return None
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v]
+    return tuple(str(v) for v in value)
 
 
 def _load_circuit(config: RunConfig):
@@ -163,20 +179,13 @@ def _load_circuit(config: RunConfig):
 
 
 def _fault_config(config: RunConfig, circuit) -> FaultConfig:
-    targets = config.targets
-    if targets is None:
-        targets = circuit.passive_ids()
-    else:
-        for target in targets:
-            try:
-                element = circuit.element(target)
-            except ValueError as exc:
-                raise ConfigError(f"config field 'targets': {exc}") from None
-            if element.kind not in PASSIVE_KINDS:
-                raise ConfigError(
-                    f"config field 'targets': {target} is not a passive element"
-                )
-    return FaultConfig(targets, config.range_low, config.range_high, config.step)
+    targets = circuit.passive_ids() if config.targets is None else config.targets
+    fault_config = FaultConfig(targets, config.range_low, config.range_high, config.step)
+    try:
+        validate_targets(circuit, fault_config)
+    except ValueError as exc:
+        raise ConfigError(f"config field 'targets': {exc}") from None
+    return fault_config
 
 
 def _outdir(config: RunConfig) -> Path:
@@ -203,18 +212,8 @@ def cmd_optimize(config: RunConfig) -> int:
     circuit = _load_circuit(config)
     fault_config = _fault_config(config, circuit)
     scale = config.omega_scale
-    ga_config = GaConfig(
-        population_size=config.population_size,
-        generations=config.generations,
-        reproduction_rate=config.reproduction_rate,
-        mutation_rate=config.mutation_rate,
-        n_frequencies=config.n_frequencies,
-        f_min=config.f_min * scale,
-        f_max=config.f_max * scale,
-        seed=config.seed,
-    )
     best, log = run_ga(
-        circuit, fault_config, ga_config, tol=config.tol, origin_tol=config.origin_tol
+        circuit, fault_config, config.ga, tol=config.tol, origin_tol=config.origin_tol
     )
     out = _outdir(config)
     write_ga_log_csv(out / "ga_log.csv", log, frequency_scale=scale)
@@ -290,8 +289,6 @@ def cmd_diagnose(config: RunConfig, measured: str | None, inject: str | None) ->
             spec = FaultSpec(component, float(amount))
         except ValueError as exc:
             raise ConfigError(f"--inject: {exc}") from None
-        if not math.isfinite(spec.deviation):
-            raise ConfigError(f"--inject: deviation must be finite, got {amount!r}")
         faulty = evaluate_at(circuit, spec, tv.frequencies)
         query = signature(golden, faulty)
 
@@ -413,25 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--netlist", help="netlist file (default: bundled biquad)")
-        p.add_argument("--outdir", help="output directory (default: out)")
-        p.add_argument("--unit", choices=sorted(_UNITS), help="frequency unit")
-        p.add_argument("--f-min", type=float, dest="f_min")
-        p.add_argument("--f-max", type=float, dest="f_max")
-        p.add_argument("--grid", type=int, help="sweep points (log spaced)")
-        p.add_argument("--targets", help="comma-separated fault targets")
-        p.add_argument("--range-low", type=float, dest="range_low")
-        p.add_argument("--range-high", type=float, dest="range_high")
-        p.add_argument("--step", type=float)
-        p.add_argument("--population-size", type=int, dest="population_size")
-        p.add_argument("--generations", type=int)
-        p.add_argument("--reproduction-rate", type=float, dest="reproduction_rate")
-        p.add_argument("--mutation-rate", type=float, dest="mutation_rate")
-        p.add_argument("--n-frequencies", type=int, dest="n_frequencies")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--origin-tol", type=float, dest="origin_tol")
-        p.add_argument("--ambiguity-margin", type=float, dest="ambiguity_margin")
+        for name in _FIELD_TYPES:
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, help=f"config field {name}")
 
     add_common(sub.add_parser("simulate", help="write the fault dictionary CSV"))
     add_common(sub.add_parser("optimize", help="evolve a test vector"))
@@ -448,13 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key)
-        for key in _FIELD_TYPES
-        if hasattr(args, key) and getattr(args, key) is not None
-    }
     try:
-        config = load_config(args.config, overrides)
+        config = load_config(args.config, {k: getattr(args, k) for k in _FIELD_TYPES})
         if args.command == "simulate":
             return cmd_simulate(config)
         if args.command == "optimize":

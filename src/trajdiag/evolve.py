@@ -13,8 +13,7 @@ vectorized, count-only incidence pass.
 Reproducibility: the run seed feeds a SeedSequence that spawns one
 child stream per generation; all stochastic draws happen on that
 single stream in a fixed order, and fitness evaluation is pure and
-independent of batching, so results are identical for any ``workers``
-value (accepted, unused).
+independent of batching.
 """
 
 from __future__ import annotations
@@ -59,9 +58,9 @@ class GaConfig:
                 raise ConfigError(f"{rate_name} must lie in [0, 1], got {rate}")
         if self.n_frequencies < 1:
             raise ConfigError("n_frequencies must be at least 1")
-        if not (0.0 < self.f_min < self.f_max):
+        if not (0.0 < self.f_min < self.f_max < np.inf):
             raise ConfigError(
-                f"need 0 < f_min < f_max, got {self.f_min}..{self.f_max}"
+                f"need 0 < f_min < f_max < inf, got {self.f_min}..{self.f_max}"
             )
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
@@ -214,13 +213,10 @@ def run_ga(
     ga_config: GaConfig,
     tol: float = 1e-6,
     origin_tol: float | None = None,
-    workers: int = 1,
 ) -> tuple[TestVector, GaLog]:
     """Evolve test vectors for a fixed number of generations.
 
     Returns the best-so-far vector and the full per-generation log.
-    ``workers`` is accepted for compatibility and has no effect: scoring
-    is batched in one thread.
     """
     memo: dict[tuple[float, ...], float] = {}
     per_solve = max(1, _SOLVE_FREQUENCIES // ga_config.n_frequencies)

@@ -9,6 +9,7 @@ fault, it denotes the golden circuit and is stored once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,9 +34,35 @@ class FaultSpec:
     deviation: float
 
     def __post_init__(self):
+        if not math.isfinite(self.deviation):
+            raise ValueError(
+                f"deviation of {self.component} must be finite, got {self.deviation}"
+            )
         if 1.0 + self.deviation <= 0.0:
             raise ValueError(
                 f"deviation {self.deviation} would zero out {self.component}"
+            )
+
+
+def check_grid(range_low: float, range_high: float, step: float) -> None:
+    """Raise ConfigError unless 0 < range_low < 1 < range_high, each a whole
+    number of ``step`` from 1.0 (the rule of :class:`FaultConfig`)."""
+    if not (0.0 < range_low < 1.0 < range_high):
+        raise ConfigError(
+            f"need 0 < range_low < 1 < range_high, got "
+            f"{range_low}..{range_high}"
+        )
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"step must be positive and finite, got {step}")
+    for span, name in (
+        (1.0 - range_low, "range_low"),
+        (range_high - 1.0, "range_high"),
+    ):
+        steps = span / step
+        if abs(steps - round(steps)) > 1e-9:
+            raise ConfigError(
+                f"{name} is not an integer number of steps from 1.0 "
+                f"(span {span:g}, step {step:g})"
             )
 
 
@@ -54,23 +81,7 @@ class FaultConfig:
             raise ConfigError("fault target list is empty")
         if len(set(self.targets)) != len(self.targets):
             raise ConfigError("duplicate fault target")
-        if not (0.0 < self.range_low < 1.0 < self.range_high):
-            raise ConfigError(
-                f"need 0 < range_low < 1 < range_high, got "
-                f"{self.range_low}..{self.range_high}"
-            )
-        if self.step <= 0.0:
-            raise ConfigError(f"step must be positive, got {self.step}")
-        for span, name in (
-            (1.0 - self.range_low, "range_low"),
-            (self.range_high - 1.0, "range_high"),
-        ):
-            steps = span / self.step
-            if abs(steps - round(steps)) > 1e-9:
-                raise ConfigError(
-                    f"{name} is not an integer number of steps from 1.0 "
-                    f"(span {span:g}, step {self.step:g})"
-                )
+        check_grid(self.range_low, self.range_high, self.step)
 
     def deviations(self) -> tuple[float, ...]:
         """Grid of nonzero deviations, ascending."""
@@ -157,10 +168,8 @@ def evaluate_at(circuit: Circuit, fault, frequencies) -> tuple[float, ...]:
     """dB magnitudes of the (possibly deviated) circuit at given frequencies.
 
     ``fault`` is a FaultSpec, or None for the golden circuit. Frequencies
-    are angular (rad/s), in any order, all positive; a TestVector is
-    accepted as well.
+    are angular (rad/s), in any order, all positive.
     """
-    frequencies = getattr(frequencies, "frequencies", frequencies)
     omegas = np.asarray(frequencies, dtype=float)
     if omegas.ndim != 1 or len(omegas) == 0:
         raise ValueError("frequencies must be a non-empty 1-D sequence")

@@ -20,6 +20,7 @@ fresh copies via :func:`apply_deviation`.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -81,7 +82,10 @@ def parse_value(token: str) -> float:
         raise ValueError(f"malformed value {token!r}")
     number, suffix = m.groups()
     scale = _SUFFIX[suffix.lower()] if suffix else 1.0
-    return float(number) * scale
+    value = float(number) * scale
+    if not math.isfinite(value):
+        raise ValueError(f"value {token!r} is out of floating-point range")
+    return value
 
 
 @dataclass(frozen=True)

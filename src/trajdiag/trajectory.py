@@ -43,11 +43,6 @@ class TestVector:
         if not all(0.0 < f < math.inf for f in self.frequencies):
             raise ValueError("test frequencies must be positive and finite")
 
-    @property
-    def degenerate(self) -> bool:
-        """True when duplicate frequencies collapse the signature space."""
-        return len(set(self.frequencies)) < len(self.frequencies)
-
 
 @dataclass(frozen=True)
 class SignaturePoint:
@@ -62,7 +57,6 @@ class Trajectory:
 
     component: str
     points: tuple[SignaturePoint, ...]
-    degenerate: bool = False
 
     def __post_init__(self):
         devs = [p.deviation for p in self.points]
@@ -133,7 +127,6 @@ def build_trajectories(
                 SignaturePoint(tuple(coords), component, dev)
                 for coords, dev in zip(points.tolist(), grid)
             ),
-            degenerate=tv.degenerate,
         )
         for component, points in zip(config.targets, stack)
     ]
@@ -345,15 +338,3 @@ def read_trajectories_csv(path) -> list[Trajectory]:
         Trajectory(component, tuple(points)) for component, points in grouped.items()
     ]
 
-
-def write_incidences_csv(path, records) -> None:
-    """``comp_a,seg_a,comp_b,seg_b,kind,px,py`` rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write("comp_a,seg_a,comp_b,seg_b,kind,px,py\n")
-        for r in records:
-            px = f"{r.point[0]:.17g}"
-            py = f"{r.point[1]:.17g}" if len(r.point) > 1 else ""
-            fh.write(
-                f"{r.component_a},{r.segment_a},{r.component_b},{r.segment_b},"
-                f"{r.kind},{px},{py}\n"
-            )

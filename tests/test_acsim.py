@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import trajdiag as td
 from trajdiag.acsim import MnaSystem, ResponseCurve, log_grid, solve_ac, sweep
 from trajdiag.errors import SimulationError
 from trajdiag.netlist import parse_netlist
@@ -214,14 +213,3 @@ def test_mna_unknown_count(biquad):
     # 5 non-ground nodes + source current + vcvs current
     assert system.size == 7
 
-
-def test_curve_csv_format(tmp_path, biquad):
-    curve = sweep(biquad, [1.0, 2.0])
-    path = tmp_path / "curve.csv"
-    td.acsim.write_curve_csv(path, curve)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "freq,mag_db"
-    assert len(lines) == 3
-    freq, mag = lines[1].split(",")
-    assert float(freq) == 1.0
-    assert float(mag) == curve.magnitudes_db[0]  # 17 digits round-trip exactly

@@ -1,9 +1,12 @@
 import json
 import math
+import typing
 
 import pytest
 
-from trajdiag.cli import load_config, main, render_svg
+import trajdiag.cli
+from trajdiag.cli import RunConfig, load_config, main, render_svg
+from trajdiag.data import biquad_path
 from trajdiag.errors import ConfigError
 from trajdiag.trajectory import TestVector, build_trajectories, write_trajectories_csv
 
@@ -63,6 +66,7 @@ def test_config_file_round_trip(tmp_path):
         ({"ambiguity_margin": -1.0}, "ambiguity_margin"),
         ({"netlist": "/nonexistent/file.cir"}, "/nonexistent/file.cir"),
         ({"grid": 1.5}, "integer"),
+        ({"unit": "hz", "f_max": 1e308}, "GA"),  # finite, but not once scaled to rad/s
     ],
 )
 def test_malformed_configs_fail_fast(tmp_path, payload, fragment):
@@ -70,6 +74,74 @@ def test_malformed_configs_fail_fast(tmp_path, payload, fragment):
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match=fragment.replace("/", ".")):
         load_config(str(path), {})
+
+
+FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _one_line_field_error(capsys, name):
+    err = capsys.readouterr().err
+    return err.startswith(f"error: config field {name!r}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", [n for n, kind in FIELD_TYPES.items() if kind is float])
+def test_non_finite_float_fields_exit_2(tmp_path, capsys, name, value):
+    out = tmp_path / "out"
+    flag = "--" + name.replace("_", "-")
+    assert run(["optimize", "--outdir", out, f"{flag}={value}"]) == 2
+    assert _one_line_field_error(capsys, name)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({name: float(value)}))  # NaN / Infinity literals
+    assert run(["optimize", "--outdir", out, "--config", config]) == 2
+    assert _one_line_field_error(capsys, name)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", [n for n, kind in FIELD_TYPES.items() if kind is int])
+def test_json_boolean_int_fields_exit_2(tmp_path, capsys, name):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({name: True}))
+    assert run(["optimize", "--outdir", tmp_path / "out", "--config", config]) == 2
+    assert _one_line_field_error(capsys, name)
+
+
+def test_every_field_is_a_flag_that_overrides_the_file(tmp_path, monkeypatch):
+    netlist = tmp_path / "copy.cir"
+    netlist.write_text(biquad_path().read_text())
+    from_file = {
+        "netlist": str(netlist), "outdir": "a", "unit": "hz", "f_min": 0.02,
+        "f_max": 50.0, "grid": 11, "targets": ["R1"], "range_low": 0.8,
+        "range_high": 1.2, "step": 0.1, "population_size": 10, "generations": 3,
+        "reproduction_rate": 0.3, "mutation_rate": 0.2, "n_frequencies": 3,
+        "seed": 7, "tol": 1e-5, "origin_tol": 1e-5, "ambiguity_margin": 0.1,
+    }
+    from_flags = {
+        "netlist": str(biquad_path()), "outdir": "b", "unit": "rad/s", "f_min": 0.03,
+        "f_max": 60.0, "grid": 12, "targets": ("R2", "C1"), "range_low": 0.7,
+        "range_high": 1.3, "step": 0.05, "population_size": 12, "generations": 4,
+        "reproduction_rate": 0.6, "mutation_rate": 0.1, "n_frequencies": 2,
+        "seed": 8, "tol": 2e-5, "origin_tol": 3e-5, "ambiguity_margin": 0.2,
+    }
+    assert set(from_file) == set(from_flags) == set(FIELD_TYPES)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(from_file))
+    seen = []
+
+    def capture(config, query):
+        seen.append(config)
+        return 0
+
+    monkeypatch.setattr(trajdiag.cli, "cmd_plot_data", capture)
+    flags = []
+    for name, value in from_flags.items():
+        text = ",".join(value) if name == "targets" else value
+        flags.append(f"--{name.replace('_', '-')}={text}")
+    assert run(["plot-data", "--config", path]) == 0
+    assert run(["plot-data", "--config", path] + flags) == 0
+    from_file["targets"] = tuple(from_file["targets"])
+    for config, expected in zip(seen, (from_file, from_flags)):
+        assert {name: getattr(config, name) for name in FIELD_TYPES} == expected
 
 
 def test_malformed_json_rejected(tmp_path):
@@ -183,6 +255,14 @@ def test_unparseable_netlist_exit_2(tmp_path, capsys):
     code = run(["simulate", "--netlist", netlist, "--outdir", tmp_path / "out"])
     assert code == 2
     assert "unknown element kind" in capsys.readouterr().err
+
+
+def test_netlist_value_out_of_range_exit_2(tmp_path, capsys):
+    netlist = tmp_path / "huge.cir"
+    netlist.write_text("V1 1 0 1\nR1 1 2 1\nC1 2 0 1e999\n.input V1\n.output 2\n")
+    code = run(["simulate", "--netlist", netlist, "--outdir", tmp_path / "out"])
+    assert code == 2
+    assert "line 3: C1: value '1e999'" in capsys.readouterr().err
 
 
 def test_optimize_zero_generations(tmp_path):

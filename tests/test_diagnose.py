@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajdiag.diagnose import classify, project
 from trajdiag.faultlib import FaultSpec, enumerate_faults, evaluate_at
@@ -238,3 +240,15 @@ def test_report_and_csv(tmp_path, biquad_setup):
     assert len(lines) == 8
     nominal = classify((0.0, 0.0), trajectories)
     assert "nominal" in format_report(nominal)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.tuples(*[st.floats(-40.0, 40.0)] * 2),
+    st.permutations(range(7)),
+    st.floats(0.0, 1.0),
+)
+def test_classify_invariant_under_trajectory_order(biquad_setup, query, order, margin):
+    _, trajectories, _ = biquad_setup
+    shuffled = [trajectories[k] for k in order]
+    assert classify(query, shuffled, margin) == classify(query, trajectories, margin)

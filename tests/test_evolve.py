@@ -221,13 +221,6 @@ def test_run_ga_monotone_and_reproducible(biquad, biquad_faults):
         assert log_a.best_fitness == 1.0 / (log_a.best_intersections + 1)
 
 
-def test_run_ga_worker_count_invariance(biquad, biquad_faults):
-    config = GaConfig(seed=44, **SMALL)
-    _, serial = run_ga(biquad, biquad_faults, config, workers=1)
-    _, threaded = run_ga(biquad, biquad_faults, config, workers=3)
-    assert serial == threaded
-
-
 def test_run_ga_respects_bounds(biquad, biquad_faults):
     config = GaConfig(seed=55, f_min=0.5, f_max=2.0, **SMALL)
     best, log = run_ga(biquad, biquad_faults, config)

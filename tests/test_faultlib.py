@@ -47,6 +47,7 @@ def test_smallest_grid():
         (dict(targets=("R1",), range_low=-0.1), "range_low < 1"),
         (dict(targets=("R1",), step=-0.1), "positive"),
         (dict(targets=("R1",), step=0.0), "positive"),
+        (dict(targets=("R1",), step=float("inf")), "finite"),
     ],
 )
 def test_config_validation(kwargs, fragment):
@@ -78,6 +79,12 @@ def test_fault_spec_validation():
     with pytest.raises(ValueError):
         FaultSpec("R1", -1.5)
     assert FaultSpec("R1", -0.999).deviation == -0.999
+
+
+@pytest.mark.parametrize("deviation", [float("nan"), float("inf"), float("-inf")])
+def test_fault_spec_rejects_non_finite(biquad, deviation):
+    with pytest.raises(ValueError, match="R1 must be finite"):
+        evaluate_at(biquad, FaultSpec("R1", deviation), [1.0, 2.0])
 
 
 def test_evaluate_at_matches_sweep(biquad):

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajdiag.errors import NetlistError
 from trajdiag.faultlib import FaultSpec
 from trajdiag.netlist import (
+    KIND_FOR_LETTER,
+    Circuit,
     Element,
     ElementKind,
     apply_deviation,
@@ -95,6 +99,8 @@ def test_malformed_values(token):
         ("V1 1 0 1\nR1 1 0 1\n.input V1\n.output 9", "unknown node '9'"),
         ("V1 1 0 1\nV2 1 0 1\n.input V1\n.output 1", "exactly one voltage source"),
         ("V1 1 0 1\nR1 1 0 1\n.input V1\n.input V1\n.output 1", "duplicate .input"),
+        ("V1 1 0 1\nC1 1 0 1e999\n.input V1\n.output 1", "line 2: C1: value '1e999'"),
+        ("V1 1 0 1\nC1 1 0 1e306k\n.input V1\n.output 1", "line 2: C1: value '1e306k'"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -130,10 +136,33 @@ def test_round_trip_random_circuits():
             elements.append(
                 Element("E1", ElementKind.VCVS, ("n1", "0", "n2", "0"), 1e6)
             )
-        from trajdiag.netlist import Circuit
-
         circuit = Circuit(tuple(elements), "V1", "n1")
         assert parse_netlist(render_netlist(circuit)) == circuit
+
+
+_NODE = st.sampled_from(["0", "1", "n2", "out", "X_3"])
+_VALUE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def circuits(draw):
+    """Valid circuits: one source into node 1, passives and vcvs on a node pool."""
+    elements = [Element("V1", ElementKind.VSOURCE, ("1", "0"), draw(_VALUE))]
+    for index in range(draw(st.integers(1, 6))):
+        letter = draw(st.sampled_from("RCLErcl"))
+        kind = KIND_FOR_LETTER[letter.upper()]
+        arity = 4 if kind is ElementKind.VCVS else 2
+        suffix = draw(st.from_regex(r"[A-Za-z0-9_]{0,3}", fullmatch=True))
+        nodes = tuple(draw(_NODE) for _ in range(arity))
+        elements.append(Element(f"{letter}{index}{suffix}", kind, nodes, draw(_VALUE)))
+    output = draw(st.sampled_from(sorted({n for e in elements for n in e.nodes})))
+    return Circuit(tuple(elements), "V1", output)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(circuits())
+def test_render_parse_round_trip_property(circuit):
+    assert parse_netlist(render_netlist(circuit)) == circuit
 
 
 def test_apply_deviation_scales_value():
