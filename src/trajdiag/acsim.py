@@ -6,6 +6,12 @@ their incidence live in ``G``; capacitor stamps and the inductor branch
 reactance live in ``C``. Frequencies are angular (rad/s) throughout this
 module; the CLI converts from Hz when so configured. Magnitudes are
 reported in dB.
+
+Every AC response in the package comes from :meth:`MnaSystem.transfer`,
+which solves a stack of same-topology circuits (one row each) in blocks
+of at most ``_BLOCK_ENTRIES`` complex matrix entries: memory stays at a
+few MB for any number of variants and frequencies, and results do not
+depend on blocking, as every (row, frequency) slice is its own LU.
 """
 
 from __future__ import annotations
@@ -18,6 +24,10 @@ from .errors import SimulationError
 from .netlist import Circuit, ElementKind
 
 _BRANCH_KINDS = (ElementKind.VSOURCE, ElementKind.VCVS, ElementKind.INDUCTOR)
+
+# rows x frequencies x size^2 complex entries per batched solve; the GA's whole
+# biquad stack (57 x 8 x 7^2) fits in one block
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,27 +50,30 @@ class ResponseCurve:
 
 
 class MnaSystem:
-    """Stamped MNA matrices for one circuit.
+    """Stamped MNA matrices of a circuit and of same-topology variants of it.
 
     Unknowns are the non-ground node voltages (in first-appearance order)
     followed by one branch current per voltage source, vcvs and inductor.
+    ``g`` and ``c`` stack one matrix per circuit, a row; ``labels`` name
+    the rows in errors. The first circuit gives topology, source and output.
     """
 
-    __slots__ = ("node_index", "g", "c", "rhs", "out_index", "amplitude", "size")
+    __slots__ = ("labels", "g", "c", "rhs", "out_index", "amplitude", "size")
 
-    def __init__(self, circuit: Circuit):
+    def __init__(self, *circuits: Circuit, labels=("circuit",)):
+        first = circuits[0]
         node_index: dict[str, int] = {}
-        for element in circuit.elements:
+        for element in first.elements:
             for node in element.nodes:
                 if node != "0" and node not in node_index:
                     node_index[node] = len(node_index)
-        branches = [e for e in circuit.elements if e.kind in _BRANCH_KINDS]
+        branches = [e for e in first.elements if e.kind in _BRANCH_KINDS]
 
         n_nodes = len(node_index)
         size = n_nodes + len(branches)
-        g = np.zeros((size, size))
-        c = np.zeros((size, size))
-        rhs = np.zeros(size)
+        self.g = np.zeros((len(circuits), size, size))
+        self.c = np.zeros((len(circuits), size, size))
+        self.rhs = np.zeros(size, dtype=complex)
 
         def idx(node: str) -> int:
             return -1 if node == "0" else node_index[node]
@@ -71,116 +84,114 @@ class MnaSystem:
 
         branch_row = {e.id: n_nodes + k for k, e in enumerate(branches)}
 
-        for element in circuit.elements:
-            kind = element.kind
-            if kind is ElementKind.RESISTOR or kind is ElementKind.CAPACITOR:
-                n1, n2 = (idx(n) for n in element.nodes)
-                mat, val = (
-                    (g, 1.0 / element.value)
-                    if kind is ElementKind.RESISTOR
-                    else (c, element.value)
-                )
-                stamp(mat, n1, n1, val)
-                stamp(mat, n2, n2, val)
-                stamp(mat, n1, n2, -val)
-                stamp(mat, n2, n1, -val)
-            elif kind is ElementKind.VSOURCE or kind is ElementKind.INDUCTOR:
-                n1, n2 = (idx(n) for n in element.nodes)
-                row = branch_row[element.id]
-                stamp(g, n1, row, 1.0)
-                stamp(g, n2, row, -1.0)
-                stamp(g, row, n1, 1.0)
-                stamp(g, row, n2, -1.0)
-                if kind is ElementKind.VSOURCE:
-                    rhs[row] = element.value
-                else:
-                    c[row, row] = -element.value
-            else:  # vcvs: V(p) - V(q) = gain * (V(cp) - V(cq))
-                p, q, cp, cq = (idx(n) for n in element.nodes)
-                row = branch_row[element.id]
-                stamp(g, p, row, 1.0)
-                stamp(g, q, row, -1.0)
-                stamp(g, row, p, 1.0)
-                stamp(g, row, q, -1.0)
-                stamp(g, row, cp, -element.value)
-                stamp(g, row, cq, element.value)
+        for g, c, circuit in zip(self.g, self.c, circuits):
+            for element in circuit.elements:
+                kind = element.kind
+                if kind is ElementKind.RESISTOR or kind is ElementKind.CAPACITOR:
+                    n1, n2 = (idx(n) for n in element.nodes)
+                    mat, val = (
+                        (g, 1.0 / element.value)
+                        if kind is ElementKind.RESISTOR
+                        else (c, element.value)
+                    )
+                    stamp(mat, n1, n1, val)
+                    stamp(mat, n2, n2, val)
+                    stamp(mat, n1, n2, -val)
+                    stamp(mat, n2, n1, -val)
+                elif kind is ElementKind.VSOURCE or kind is ElementKind.INDUCTOR:
+                    n1, n2 = (idx(n) for n in element.nodes)
+                    row = branch_row[element.id]
+                    stamp(g, n1, row, 1.0)
+                    stamp(g, n2, row, -1.0)
+                    stamp(g, row, n1, 1.0)
+                    stamp(g, row, n2, -1.0)
+                    if kind is ElementKind.VSOURCE:
+                        self.rhs[row] = element.value
+                    else:
+                        c[row, row] = -element.value
+                else:  # vcvs: V(p) - V(q) = gain * (V(cp) - V(cq))
+                    p, q, cp, cq = (idx(n) for n in element.nodes)
+                    row = branch_row[element.id]
+                    stamp(g, p, row, 1.0)
+                    stamp(g, q, row, -1.0)
+                    stamp(g, row, p, 1.0)
+                    stamp(g, row, q, -1.0)
+                    stamp(g, row, cp, -element.value)
+                    stamp(g, row, cq, element.value)
 
-        self.node_index = node_index
-        self.g = g
-        self.c = c
-        self.rhs = rhs
+        self.labels = tuple(labels)
         self.size = size
-        self.out_index = idx(circuit.output_node)
-        self.amplitude = circuit.element(circuit.input_source).value
+        self.out_index = node_index[first.output_node]
+        self.amplitude = first.element(first.input_source).value
 
-    def gains(self, omegas: np.ndarray) -> np.ndarray:
-        """Complex V(output)/V(source) at each angular frequency."""
-        voltages = solve_stacked(
-            self.g[None, :, :], self.c[None, :, :], self.rhs, omegas
-        )[0]
-        if self.out_index < 0:
-            return np.zeros(len(omegas), dtype=complex)
-        return voltages[:, self.out_index] / self.amplitude
+    def transfer(self, omegas) -> np.ndarray:
+        """Complex V(output)/V(source), shape (rows, frequencies).
+
+        Frequencies are angular, in any order, positive and finite.
+        """
+        omegas = np.asarray(omegas, dtype=float)
+        if omegas.ndim != 1 or len(omegas) == 0:
+            raise ValueError("frequencies must be a non-empty 1-D sequence")
+        if not np.all((omegas > 0.0) & (omegas < np.inf)):
+            raise ValueError("frequencies must be positive and finite")
+        block = max(1, _BLOCK_ENTRIES // (len(omegas) * self.size * self.size))
+        out = np.empty((len(self.g), len(omegas)), dtype=complex)
+        for start in range(0, len(self.g), block):
+            part = slice(start, start + block)
+            a = self.g[part, None] + 1j * omegas[None, :, None, None] * self.c[part, None]
+            b = np.broadcast_to(self.rhs, a.shape[:-1])[..., None]
+            try:
+                x = np.linalg.solve(a, b)[..., 0]
+            except np.linalg.LinAlgError:
+                _raise_failure(a, omegas, self.labels[part])
+            if not np.all(np.isfinite(x)):
+                _raise_failure(a, omegas, self.labels[part])
+            out[part] = x[:, :, self.out_index]
+        return out / self.amplitude
+
+    def magnitudes(self, omegas) -> np.ndarray:
+        """dB magnitudes 20*log10(|gain|), shape (rows, frequencies)."""
+        mags = np.abs(self.transfer(omegas))
+        if not mags.all():
+            row, col = np.argwhere(mags == 0.0)[0]
+            raise SimulationError(
+                f"{self.labels[row]} failed: zero output magnitude at "
+                f"omega={np.asarray(omegas, dtype=float)[col]:g} rad/s"
+            )
+        return 20.0 * np.log10(mags)
 
 
-def solve_stacked(
-    g_stack: np.ndarray, c_stack: np.ndarray, rhs: np.ndarray, omegas: np.ndarray
-) -> np.ndarray:
-    """Solve ``(G_b + j*w_f*C_b) x = rhs`` for every circuit b and frequency f.
+def _raise_failure(a, omegas, labels):
+    """Name the first row and frequency whose MNA matrix cannot be solved.
 
-    Returns the unknown vectors with shape ``(B, F, size)``. Every slice is
-    an independent dense LU solve, so results do not depend on batching.
+    Non-finite entries are caught before ``np.linalg.cond``: LAPACK would
+    reject them with messages of its own on stdout.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    a = g_stack[:, None, :, :] + 1j * omegas[None, :, None, None] * c_stack[:, None, :, :]
-    b = np.broadcast_to(rhs.astype(complex), a.shape[:-1])[..., None]
-    try:
-        x = np.linalg.solve(a, b)[..., 0]
-    except np.linalg.LinAlgError:
-        _raise_singular(a, omegas)
-    if not np.all(np.isfinite(x)):
-        _raise_singular(a, omegas)
-    return x
-
-
-def _raise_singular(a, omegas):
-    for bi in range(a.shape[0]):
-        for fi in range(a.shape[1]):
-            slice_ = a[bi, fi]
-            cond = np.linalg.cond(slice_)
+    for label, matrices in zip(labels, a):
+        for omega, matrix in zip(omegas, matrices):
+            if not np.all(np.isfinite(matrix)):
+                raise SimulationError(
+                    f"{label} failed: an MNA matrix entry is out of floating-point "
+                    f"range at omega={omega:g} rad/s; check element values"
+                )
+            cond = np.linalg.cond(matrix)
             if not np.isfinite(cond) or cond > 1e15:
                 raise SimulationError(
-                    f"singular MNA system at omega={omegas[fi]:g} rad/s "
+                    f"{label} failed: singular MNA system at omega={omega:g} rad/s "
                     f"(condition number {cond:.3e}); check circuit connectivity"
                 )
-    raise SimulationError("MNA solve failed")
+    raise SimulationError(f"{labels[0]} failed: MNA solve failed")
 
 
 def solve_ac(circuit: Circuit, frequency: float) -> complex:
     """Complex gain V(output)/V(source) at one angular frequency."""
-    if frequency <= 0.0:
-        raise ValueError(f"frequency must be positive, got {frequency}")
-    return complex(MnaSystem(circuit).gains(np.asarray([float(frequency)]))[0])
-
-
-def magnitudes_db(gains: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """20*log10(|gain|) with an explicit error for exact transmission zeros."""
-    mags = np.abs(gains)
-    if np.any(mags == 0.0):
-        at = np.asarray(omegas)[np.nonzero(mags == 0.0)[0][0]]
-        raise SimulationError(f"zero output magnitude at omega={at:g} rad/s")
-    return 20.0 * np.log10(mags)
+    return complex(MnaSystem(circuit).transfer([frequency])[0, 0])
 
 
 def sweep(circuit: Circuit, grid) -> ResponseCurve:
     """Magnitude response over a strictly increasing angular-frequency grid."""
     omegas = np.asarray(grid, dtype=float)
-    if omegas.ndim != 1 or len(omegas) == 0:
-        raise ValueError("frequency grid must be a non-empty 1-D sequence")
-    if omegas[0] <= 0.0 or np.any(np.diff(omegas) <= 0.0):
-        raise ValueError("frequency grid must be positive and strictly increasing")
-    gains = MnaSystem(circuit).gains(omegas)
-    mags = magnitudes_db(gains, omegas)
+    mags = MnaSystem(circuit).magnitudes(omegas)[0]
     return ResponseCurve(tuple(omegas.tolist()), tuple(mags.tolist()))
 
 

@@ -393,6 +393,8 @@ def cmd_plot_data(config: RunConfig, query: str | None) -> int:
             raise ConfigError("--query: expected comma-separated coordinates") from None
         if len(query_point) != 2:
             raise ConfigError("--query: expected exactly two coordinates")
+        if not all(map(math.isfinite, query_point)):
+            raise ConfigError("--query: coordinates must be finite")
     svg = render_svg(trajectories, query_point)
     out = Path(config.outdir) / "trajectories.svg"
     out.write_text(svg)

@@ -5,6 +5,10 @@ signed fractional deviation. The deviation grid is symmetric around the
 nominal point, e.g. the default 0.6..1.4 range in 0.1 steps yields the
 eight deviations -0.4..-0.1, +0.1..+0.4 per component; zero is never a
 fault, it denotes the golden circuit and is stored once.
+
+Every magnitude comes from ``acsim.MnaSystem``: :class:`FaultEnsemble`
+stacks the golden circuit and every grid fault (dictionary, trajectories,
+GA), and :func:`evaluate_at` solves the one circuit a query asks about.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .acsim import MnaSystem, ResponseCurve, magnitudes_db, solve_stacked
-from .errors import ConfigError, SimulationError
+from .acsim import MnaSystem, ResponseCurve
+from .errors import ConfigError
 from .netlist import PASSIVE_KINDS, Circuit, apply_deviation
 
 DEFAULT_RANGE_LOW = 0.6
@@ -24,6 +28,7 @@ DEFAULT_RANGE_HIGH = 1.4
 DEFAULT_STEP = 0.1
 
 GOLDEN_LABEL = "__golden__"
+_GOLDEN_NAME = "golden circuit"
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,11 @@ class FaultSpec:
             raise ValueError(
                 f"deviation {self.deviation} would zero out {self.component}"
             )
+
+    @property
+    def label(self) -> str:
+        """How solver errors name this fault."""
+        return f"fault ({self.component}, {self.deviation:+g})"
 
 
 def check_grid(range_low: float, range_high: float, step: float) -> None:
@@ -132,30 +142,21 @@ class FaultEnsemble:
     their MNA matrices stack.
     """
 
-    __slots__ = ("circuit", "config", "specs", "_g", "_c", "_rhs", "_out", "_amp")
+    __slots__ = ("circuit", "config", "specs", "_system")
 
     def __init__(self, circuit: Circuit, config: FaultConfig):
-        validate_targets(circuit, config)
         self.circuit = circuit
         self.config = config
         self.specs = enumerate_faults(config)
-        systems = [MnaSystem(circuit)]
-        for spec in self.specs:
-            systems.append(MnaSystem(apply_deviation(circuit, spec)))
-        self._g = np.stack([s.g for s in systems])
-        self._c = np.stack([s.c for s in systems])
-        self._rhs = systems[0].rhs
-        self._out = systems[0].out_index
-        self._amp = systems[0].amplitude
+        self._system = MnaSystem(
+            circuit,
+            *(apply_deviation(circuit, spec) for spec in self.specs),
+            labels=[_GOLDEN_NAME, *(spec.label for spec in self.specs)],
+        )
 
     def magnitudes(self, omegas) -> np.ndarray:
         """dB magnitudes, shape (1 + n_faults, n_frequencies)."""
-        omegas = np.asarray(omegas, dtype=float)
-        voltages = solve_stacked(self._g, self._c, self._rhs, omegas)
-        if self._out < 0:
-            raise SimulationError("output node is ground; response is identically zero")
-        gains = voltages[:, :, self._out] / self._amp
-        return magnitudes_db(gains, np.broadcast_to(omegas, gains.shape))
+        return self._system.magnitudes(omegas)
 
 
 @lru_cache(maxsize=16)
@@ -170,41 +171,21 @@ def evaluate_at(circuit: Circuit, fault, frequencies) -> tuple[float, ...]:
     ``fault`` is a FaultSpec, or None for the golden circuit. Frequencies
     are angular (rad/s), in any order, all positive.
     """
-    omegas = np.asarray(frequencies, dtype=float)
-    if omegas.ndim != 1 or len(omegas) == 0:
-        raise ValueError("frequencies must be a non-empty 1-D sequence")
-    if np.any(omegas <= 0.0):
-        raise ValueError("frequencies must be positive")
     target = circuit if fault is None else apply_deviation(circuit, fault)
-    gains = MnaSystem(target).gains(omegas)
-    return tuple(magnitudes_db(gains, omegas).tolist())
+    label = _GOLDEN_NAME if fault is None else fault.label
+    return tuple(MnaSystem(target, labels=[label]).magnitudes(frequencies)[0].tolist())
 
 
 def build_dictionary(circuit: Circuit, config: FaultConfig, grid) -> FaultDictionary:
     """Sweep the golden circuit and every enumerated fault over ``grid``."""
-    validate_targets(circuit, config)
     omegas = np.asarray(grid, dtype=float)
-    if omegas.ndim != 1 or len(omegas) == 0:
-        raise ValueError("frequency grid must be a non-empty 1-D sequence")
-    if omegas[0] <= 0.0 or np.any(np.diff(omegas) <= 0.0):
-        raise ValueError("frequency grid must be positive and strictly increasing")
-    golden_curve = _sweep_system(MnaSystem(circuit), omegas)
-    entries: dict[FaultSpec, ResponseCurve] = {}
-    for spec in enumerate_faults(config):
-        try:
-            entries[spec] = _sweep_system(
-                MnaSystem(apply_deviation(circuit, spec)), omegas
-            )
-        except SimulationError as exc:
-            raise SimulationError(
-                f"fault ({spec.component}, {spec.deviation:+g}) failed: {exc}"
-            ) from exc
-    return FaultDictionary(golden_curve, entries, config)
-
-
-def _sweep_system(system: MnaSystem, omegas: np.ndarray) -> ResponseCurve:
-    mags = magnitudes_db(system.gains(omegas), omegas)
-    return ResponseCurve(tuple(omegas.tolist()), tuple(mags.tolist()))
+    ensemble = ensemble_for(circuit, config)
+    frequencies = tuple(omegas.tolist())
+    golden, *faulty = (
+        ResponseCurve(frequencies, tuple(row))
+        for row in ensemble.magnitudes(omegas).tolist()
+    )
+    return FaultDictionary(golden, dict(zip(ensemble.specs, faulty)), config)
 
 
 def write_dictionary_csv(path, dictionary: FaultDictionary, frequencies=None) -> None:

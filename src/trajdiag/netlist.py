@@ -12,7 +12,7 @@ The accepted grammar is deliberately small:
 * directives: ``.input <source id>`` and ``.output <node>``
 * values are plain floats or engineering-suffixed numbers
   (``t g meg k m u n p f``, e.g. ``1k``, ``2.2u``, ``1e-6``)
-* node ``0`` is ground and must be referenced somewhere
+* node ``0`` is ground and must be referenced somewhere; it is never the output
 
 Parsed circuits are immutable; fault injection never mutates, it builds
 fresh copies via :func:`apply_deviation`.
@@ -197,6 +197,8 @@ def parse_netlist(text: str) -> Circuit:
         raise NetlistError('no element references the ground node "0"')
     if output_node not in nodes:
         raise NetlistError(f".output names unknown node {output_node!r}")
+    if output_node == GROUND:
+        raise NetlistError(".output is the ground node; its response is identically zero")
 
     by_id = {e.id: e for e in elements}
     source = by_id.get(input_source)

@@ -70,6 +70,8 @@ class Trajectory:
         dims = {len(p.coords) for p in self.points}
         if len(dims) != 1:
             raise ValueError("inconsistent point dimensions")
+        if not all(math.isfinite(x) for p in self.points for x in (p.deviation, *p.coords)):
+            raise ValueError(f"trajectory {self.component}: non-finite deviation or coordinate")
 
     @property
     def dimension(self) -> int:

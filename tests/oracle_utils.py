@@ -1,9 +1,11 @@
-"""Brute-force geometry oracle shared by the trajectory and acceptance tests.
+"""Brute-force oracles shared by the trajectory, fault and acceptance tests.
 
-The oracle decides segment incidence by dense parametric sampling: 10^4
-points on each segment, each checked against the other segment with a
-distance threshold. It was written before (and independently of) the
-closed-form predicate it cross-checks.
+The geometry oracle decides segment incidence by dense parametric
+sampling: 10^4 points on each segment, each checked against the other
+segment with a distance threshold. It was written before (and
+independently of) the closed-form predicate it cross-checks. The solve
+reference computes each fault variant's gains with its own dense solves,
+one circuit and one frequency at a time.
 """
 
 import numpy as np
@@ -201,3 +203,42 @@ def reference_count(trajectories, tol):
         if max(_dot(p, p) ** 0.5 for p in extremes) > tol:
             records.append((comp_a, seg_a, comp_b, seg_b, kind, tuple(rep)))
     return len(records), records
+
+
+def random_rlc_vcvs_netlist(rng) -> str:
+    """Seeded ladder: random series R/C/L, shunt R (sometimes also C) at
+    every node, and vcvs buffers between some sections."""
+    def value():
+        return f"{10.0 ** rng.uniform(-1.0, 1.0):.6g}"
+
+    lines = [f"V1 n0 0 {value()}"]
+    node = "n0"
+    for k in range(1, int(rng.integers(3, 6)) + 1):
+        nxt = f"n{k}"
+        lines.append(f"{rng.choice(list('RCL'))}S{k} {node} {nxt} {value()}")
+        lines.append(f"RP{k} {nxt} 0 {value()}")
+        if rng.random() < 0.5:
+            lines.append(f"CP{k} {nxt} 0 {value()}")
+        node = nxt
+        if k == 2 or rng.random() < 0.3:
+            lines.append(f"E{k} b{k} 0 {node} 0 {rng.uniform(0.5, 3.0):.6g}")
+            node = f"b{k}"
+    lines += [".input V1", f".output {node}"]
+    return "\n".join(lines) + "\n"
+
+
+def reference_gains(circuit, specs, omegas):
+    """Complex V(output)/V(source) of the golden circuit (row 0) and each
+    fault in ``specs``: one np.linalg.solve per variant and frequency on
+    that variant's own MNA matrices ``G + jwC``."""
+    from trajdiag.acsim import MnaSystem
+    from trajdiag.netlist import apply_deviation
+
+    variants = [circuit] + [apply_deviation(circuit, spec) for spec in specs]
+    outputs = np.empty((len(variants), len(omegas)), dtype=complex)
+    for row, variant in enumerate(variants):
+        system = MnaSystem(variant)
+        for col, omega in enumerate(omegas):
+            matrix = system.g[0] + 1j * omega * system.c[0]
+            outputs[row, col] = np.linalg.solve(matrix, system.rhs)[system.out_index]
+    return outputs / system.amplitude

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trajdiag.acsim import MnaSystem, ResponseCurve, log_grid, solve_ac, sweep
-from trajdiag.errors import SimulationError
+from trajdiag.errors import NetlistError, SimulationError
 from trajdiag.netlist import parse_netlist
 
 from conftest import ONE_POLE_RC
@@ -163,9 +163,8 @@ def test_singular_system_reports_condition():
 
 
 def test_ground_output_is_error():
-    circuit = parse_netlist("V1 1 0 1\nR1 1 0 1\n.input V1\n.output 0")
-    with pytest.raises(SimulationError, match="zero output"):
-        sweep(circuit, [1.0, 2.0])
+    with pytest.raises(NetlistError, match="ground"):
+        parse_netlist("V1 1 0 1\nR1 1 0 1\n.input V1\n.output 0")
 
 
 def test_frequency_validation():

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import pytest
 
+import trajdiag
 import trajdiag.cli
 from trajdiag.cli import RunConfig, load_config, main, render_svg
 from trajdiag.data import biquad_path
@@ -249,6 +254,32 @@ def test_pipeline_failure_exit_1(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_out_of_range_mna_entry_exit_1(tmp_path):
+    # 1/R overflows to inf: one stderr line naming the row, and LAPACK
+    # (which prints its own complaints to stdout) never sees the matrix
+    netlist = tmp_path / "tiny.cir"
+    netlist.write_text("V1 1 0 1\nR1 1 2 1e-320\nR2 2 0 1\n.input V1\n.output 2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "trajdiag", "simulate", "--netlist", str(netlist),
+         "--outdir", str(tmp_path / "out"), "--grid", "3"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(trajdiag.__file__).parents[1])},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert "golden circuit failed" in line and "out of floating-point range" in line
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_ground_output_exit_2(tmp_path, capsys, command):
+    netlist = tmp_path / "ground.cir"
+    netlist.write_text("V1 1 0 1\nR1 1 2 1\nC1 2 0 1\n.input V1\n.output 0\n")
+    code = run([command, "--netlist", netlist, "--outdir", tmp_path / "out"])
+    assert code == 2
+    assert "ground" in capsys.readouterr().err
+
+
 def test_unparseable_netlist_exit_2(tmp_path, capsys):
     netlist = tmp_path / "broken.cir"
     netlist.write_text("Q1 1 2 3 model\n")
@@ -430,6 +461,28 @@ def test_plot_data_empty_input(tmp_path, capsys):
     out.mkdir()
     (out / "trajectories.csv").write_text("component,deviation,x1,x2\n")
     assert run(["plot-data", "--outdir", out]) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_plot_data_non_finite_coordinate_exit_2(tmp_path, capsys, biquad, biquad_faults, bad):
+    out = _plant_trajectories(tmp_path, biquad, biquad_faults)
+    path = out / "trajectories.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[2] = bad
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["plot-data", "--outdir", out]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "trajectories.svg").exists()
+
+
+@pytest.mark.parametrize("query", ["nan,1", "0.5,inf", "-inf,0"])
+def test_plot_data_non_finite_query_exit_2(tmp_path, capsys, biquad, biquad_faults, query):
+    out = _plant_trajectories(tmp_path, biquad, biquad_faults)
+    assert run(["plot-data", "--outdir", out, f"--query={query}"]) == 2
+    assert "--query" in capsys.readouterr().err
+    assert not (out / "trajectories.svg").exists()
 
 
 def test_render_svg_deterministic(biquad, biquad_faults):

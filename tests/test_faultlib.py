@@ -16,6 +16,7 @@ from trajdiag.faultlib import (
 from trajdiag.netlist import parse_netlist
 
 from conftest import ONE_POLE_RC
+from oracle_utils import random_rlc_vcvs_netlist, reference_gains
 
 
 def test_default_grid_enumeration(biquad_faults):
@@ -168,24 +169,46 @@ def test_unknown_target_named(biquad):
         build_dictionary(biquad, config, log_grid(0.1, 10.0, 3))
 
 
-def test_failing_fault_names_spec(biquad, monkeypatch):
+def test_failing_fault_names_spec(biquad, monkeypatch, caplog):
     # a multiplicative deviation cannot disconnect a solvable circuit, so
-    # force the third variant's sweep to fail and check the error context
+    # zero the stamps of the (R1, -0.1) row: that ensemble row alone is
+    # singular, and both the dictionary and the GA must name it
     import trajdiag.faultlib as faultlib
+    import trajdiag.trajectory as trajectory
+    from trajdiag.evolve import fitness
+    from trajdiag.trajectory import TestVector
 
     config = FaultConfig(("R1",), range_low=0.8, range_high=1.2, step=0.1)
-    original = faultlib._sweep_system
-    calls = {"n": 0}
-
-    def flaky(system, omegas):
-        calls["n"] += 1
-        if calls["n"] == 3:  # golden, (R1,-0.2), then fail on (R1,-0.1)
-            raise td.SimulationError("solver exploded")
-        return original(system, omegas)
-
-    monkeypatch.setattr(faultlib, "_sweep_system", flaky)
-    with pytest.raises(td.SimulationError, match=r"fault \(R1, -0\.1\).*exploded"):
+    ensemble = faultlib.FaultEnsemble(biquad, config)
+    row = 1 + ensemble.specs.index(FaultSpec("R1", -0.1))
+    ensemble._system.g[row] = 0.0
+    ensemble._system.c[row] = 0.0
+    for module in (faultlib, trajectory):
+        monkeypatch.setattr(module, "ensemble_for", lambda circuit, config: ensemble)
+    with pytest.raises(td.SimulationError, match=r"fault \(R1, -0\.1\) failed: singular"):
         build_dictionary(biquad, config, [1.0, 2.0])
+    with caplog.at_level("WARNING"):
+        assert fitness(TestVector((1.0, 2.0)), biquad, config) == 0.0
+    warnings = [m for m in caplog.messages if "fitness=0" in m]
+    assert len(warnings) == 1 and "fault (R1, -0.1) failed" in warnings[0]
+
+
+def test_ensemble_matches_direct_solves():
+    # every row of the blocked, stacked solve equals one np.linalg.solve of
+    # that variant's own G + jwC, bit for bit, on seeded R/C/L + vcvs
+    # circuits whose stacks split into several row blocks
+    from trajdiag.acsim import _BLOCK_ENTRIES, MnaSystem
+    from trajdiag.faultlib import FaultEnsemble
+
+    omegas = np.geomspace(0.05, 20.0, 64)
+    for seed in range(6):
+        circuit = parse_netlist(random_rlc_vcvs_netlist(np.random.default_rng(seed)))
+        config = FaultConfig(circuit.passive_ids())
+        mags = FaultEnsemble(circuit, config).magnitudes(omegas)
+        size = MnaSystem(circuit).size
+        assert len(mags) > 2 * max(1, _BLOCK_ENTRIES // (len(omegas) * size * size))
+        reference = reference_gains(circuit, enumerate_faults(config), omegas)
+        assert np.array_equal(mags, 20.0 * np.log10(np.abs(reference))), seed
 
 
 def test_dictionary_entry_mismatch_rejected(biquad, biquad_faults):

@@ -155,7 +155,7 @@ def circuits(draw):
         suffix = draw(st.from_regex(r"[A-Za-z0-9_]{0,3}", fullmatch=True))
         nodes = tuple(draw(_NODE) for _ in range(arity))
         elements.append(Element(f"{letter}{index}{suffix}", kind, nodes, draw(_VALUE)))
-    output = draw(st.sampled_from(sorted({n for e in elements for n in e.nodes})))
+    output = draw(st.sampled_from(sorted({n for e in elements for n in e.nodes} - {"0"})))
     return Circuit(tuple(elements), "V1", output)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,14 @@ def test_trajectory_invariants():
                 SignaturePoint((2.0,), "R1", 0.1),
             ),
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trajectory_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        make_trajectory("R1", [(1.0, bad)])
+    with pytest.raises(ValueError, match="non-finite"):
+        make_trajectory("R1", [(1.0, 2.0), (2.0, 3.0)], devs=[0.1, abs(bad)])
 
 
 # ---------------------------------------------------------------- counting
