@@ -31,8 +31,9 @@ from .trajectory import TestVector, build_trajectories, count_intersections, int
 
 logger = logging.getLogger(__name__)
 
-# Frequencies per ensemble solve while scoring a generation. The solve's
-# (faults, frequencies, size, size) complex stack sets the GA's peak memory.
+# Frequencies per ensemble solve while scoring a generation. The solve is one
+# golden LU per frequency and a few KB; the incidence pass over the chunk's
+# vectors (vectors x segment pairs temporaries) sets the GA's peak memory.
 _SOLVE_FREQUENCIES = 8
 
 

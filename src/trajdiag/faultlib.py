@@ -6,9 +6,11 @@ nominal point, e.g. the default 0.6..1.4 range in 0.1 steps yields the
 eight deviations -0.4..-0.1, +0.1..+0.4 per component; zero is never a
 fault, it denotes the golden circuit and is stored once.
 
-Every magnitude comes from ``acsim.MnaSystem``: :class:`FaultEnsemble`
-stacks the golden circuit and every grid fault (dictionary, trajectories,
-GA), and :func:`evaluate_at` solves the one circuit a query asks about.
+Every magnitude comes from ``acsim.MnaSystem``: one cached golden system
+per circuit, whose faults are rank-one updates of the golden solve.
+:class:`FaultEnsemble` adds every grid fault to it (dictionary,
+trajectories, GA), and :func:`evaluate_at` adds the one fault a query
+asks about, through the same update code.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .acsim import MnaSystem, ResponseCurve
 from .errors import ConfigError
-from .netlist import PASSIVE_KINDS, Circuit, apply_deviation
+from .netlist import PASSIVE_KINDS, Circuit
 
 DEFAULT_RANGE_LOW = 0.6
 DEFAULT_RANGE_HIGH = 1.4
@@ -135,11 +137,11 @@ def validate_targets(circuit: Circuit, config: FaultConfig) -> None:
 
 
 class FaultEnsemble:
-    """Golden circuit plus every grid fault, stamped once for batched solves.
+    """Golden circuit plus every grid fault, solved together.
 
     Row 0 of :meth:`magnitudes` is the golden response; row 1+k follows the
-    order of :func:`enumerate_faults`. All variants share one topology, so
-    their MNA matrices stack.
+    order of :func:`enumerate_faults`. Each fault is a rank-one update of
+    the circuit's cached golden system, so nothing is re-stamped.
     """
 
     __slots__ = ("circuit", "config", "specs", "_system")
@@ -148,15 +150,17 @@ class FaultEnsemble:
         self.circuit = circuit
         self.config = config
         self.specs = enumerate_faults(config)
-        self._system = MnaSystem(
-            circuit,
-            *(apply_deviation(circuit, spec) for spec in self.specs),
-            labels=[_GOLDEN_NAME, *(spec.label for spec in self.specs)],
-        )
+        self._system = _golden_system(circuit).with_faults(self.specs)
 
     def magnitudes(self, omegas) -> np.ndarray:
         """dB magnitudes, shape (1 + n_faults, n_frequencies)."""
         return self._system.magnitudes(omegas)
+
+
+@lru_cache(maxsize=16)
+def _golden_system(circuit: Circuit) -> MnaSystem:
+    """Cached golden MNA system; circuits are immutable so reuse is safe."""
+    return MnaSystem(circuit, label=_GOLDEN_NAME)
 
 
 @lru_cache(maxsize=16)
@@ -169,11 +173,14 @@ def evaluate_at(circuit: Circuit, fault, frequencies) -> tuple[float, ...]:
     """dB magnitudes of the (possibly deviated) circuit at given frequencies.
 
     ``fault`` is a FaultSpec, or None for the golden circuit. Frequencies
-    are angular (rad/s), in any order, all positive.
+    are angular (rad/s), in any order, all positive. A fault row comes
+    from the same right-hand sides and update code as its
+    :class:`FaultEnsemble` row, so the two agree bit for bit.
     """
-    target = circuit if fault is None else apply_deviation(circuit, fault)
-    label = _GOLDEN_NAME if fault is None else fault.label
-    return tuple(MnaSystem(target, labels=[label]).magnitudes(frequencies)[0].tolist())
+    system = _golden_system(circuit)
+    if fault is None:
+        return tuple(system.magnitudes(frequencies)[0].tolist())
+    return tuple(system.with_faults([fault]).magnitudes(frequencies)[1].tolist())
 
 
 def build_dictionary(circuit: Circuit, config: FaultConfig, grid) -> FaultDictionary:

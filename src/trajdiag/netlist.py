@@ -14,8 +14,9 @@ The accepted grammar is deliberately small:
   (``t g meg k m u n p f``, e.g. ``1k``, ``2.2u``, ``1e-6``)
 * node ``0`` is ground and must be referenced somewhere; it is never the output
 
-Parsed circuits are immutable; fault injection never mutates, it builds
-fresh copies via :func:`apply_deviation`.
+Parsed circuits are immutable. :func:`deviation_target` checks a fault
+against a circuit (the solver applies it as a rank-one update), and
+:func:`apply_deviation` builds a deviated copy.
 """
 
 from __future__ import annotations
@@ -221,11 +222,12 @@ def render_netlist(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def apply_deviation(circuit: Circuit, fault) -> Circuit:
-    """Return a copy of ``circuit`` with one passive value scaled by (1 + deviation).
+def deviation_target(circuit: Circuit, fault) -> Element:
+    """The passive element ``fault`` deviates, at its nominal value.
 
     ``fault`` is anything with ``component`` and ``deviation`` attributes
-    (see ``faultlib.FaultSpec``). The input circuit is left untouched.
+    (see ``faultlib.FaultSpec``). Raises ValueError when the component is
+    unknown or not passive, or when the deviation would make it non-positive.
     """
     element = circuit.element(fault.component)
     if element.kind not in PASSIVE_KINDS:
@@ -236,6 +238,16 @@ def apply_deviation(circuit: Circuit, fault) -> Circuit:
         raise ValueError(
             f"deviation {fault.deviation} would make {element.id} non-positive"
         )
+    return element
+
+
+def apply_deviation(circuit: Circuit, fault) -> Circuit:
+    """Return a copy of ``circuit`` with one passive value scaled by (1 + deviation).
+
+    The input circuit is left untouched; see :func:`deviation_target` for
+    the accepted faults.
+    """
+    element = deviation_target(circuit, fault)
     scaled = replace(element, value=element.value * (1.0 + fault.deviation))
     return replace(
         circuit,

@@ -4,8 +4,8 @@ The geometry oracle decides segment incidence by dense parametric
 sampling: 10^4 points on each segment, each checked against the other
 segment with a distance threshold. It was written before (and
 independently of) the closed-form predicate it cross-checks. The solve
-reference computes each fault variant's gains with its own dense solves,
-one circuit and one frequency at a time.
+reference computes each fault variant's gains from its own stamped
+matrices, one dense LU per circuit and frequency.
 """
 
 import numpy as np
@@ -229,16 +229,16 @@ def random_rlc_vcvs_netlist(rng) -> str:
 
 def reference_gains(circuit, specs, omegas):
     """Complex V(output)/V(source) of the golden circuit (row 0) and each
-    fault in ``specs``: one np.linalg.solve per variant and frequency on
-    that variant's own MNA matrices ``G + jwC``."""
+    fault in ``specs``: a direct LU per variant and frequency of that
+    variant's own stamped MNA matrices ``G + jwC``, with no rank-one update."""
     from trajdiag.acsim import MnaSystem
     from trajdiag.netlist import apply_deviation
 
+    omegas = np.asarray(omegas, dtype=float)
     variants = [circuit] + [apply_deviation(circuit, spec) for spec in specs]
     outputs = np.empty((len(variants), len(omegas)), dtype=complex)
     for row, variant in enumerate(variants):
         system = MnaSystem(variant)
-        for col, omega in enumerate(omegas):
-            matrix = system.g[0] + 1j * omega * system.c[0]
-            outputs[row, col] = np.linalg.solve(matrix, system.rhs)[system.out_index]
-    return outputs / system.amplitude
+        matrices = system.g + 1j * omegas[:, None, None] * system.c
+        outputs[row] = np.linalg.solve(matrices, system.rhs[:, 0])[:, system.out_index]
+    return outputs

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from trajdiag.acsim import MnaSystem, ResponseCurve, log_grid, solve_ac, sweep
 from trajdiag.errors import NetlistError, SimulationError
-from trajdiag.netlist import parse_netlist
+from trajdiag.netlist import Element, ElementKind, parse_netlist
 
 from conftest import ONE_POLE_RC
 
@@ -165,6 +167,30 @@ def test_singular_system_reports_condition():
 def test_ground_output_is_error():
     with pytest.raises(NetlistError, match="ground"):
         parse_netlist("V1 1 0 1\nR1 1 0 1\n.input V1\n.output 0")
+
+
+@pytest.mark.parametrize(
+    "changes,fragment",
+    [
+        (dict(output_node="0"), "output node '0' is ground"),
+        (dict(output_node="nope"), "output node 'nope' is not a node"),
+        (dict(input_source="R1"), "input source 'R1' must be the circuit's only voltage source"),
+        (dict(input_source="V9"), "unknown component 'V9'"),
+    ],
+)
+def test_hand_built_circuit_rejected(changes, fragment):
+    # only parse_netlist validates a Circuit, so the solver checks the
+    # output node and the source of a hand-built one itself
+    circuit = replace(parse_netlist(DIVIDER), **changes)
+    with pytest.raises(ValueError, match=fragment):
+        sweep(circuit, [1.0, 2.0])
+
+
+def test_second_voltage_source_rejected():
+    circuit = parse_netlist(DIVIDER)
+    extra = Element("V2", ElementKind.VSOURCE, ("2", "0"), 1.0)
+    with pytest.raises(ValueError, match=r"found \['V1', 'V2'\]"):
+        solve_ac(replace(circuit, elements=circuit.elements + (extra,)), 1.0)
 
 
 def test_frequency_validation():
