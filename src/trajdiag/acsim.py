@@ -26,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .netlist import GROUND, PASSIVE_KINDS, Circuit, ElementKind, deviation_target
+from .netlist import (
+    GROUND,
+    PASSIVE_KINDS,
+    Circuit,
+    ElementKind,
+    check_circuit,
+    deviation_target,
+)
 
 _BRANCH_KINDS = (ElementKind.VSOURCE, ElementKind.VCVS, ElementKind.INDUCTOR)
 
@@ -80,17 +87,7 @@ class MnaSystem:
             for node in element.nodes:
                 if node != GROUND and node not in node_index:
                     node_index[node] = len(node_index)
-        if circuit.output_node == GROUND:
-            raise ValueError("output node '0' is ground; its response is identically zero")
-        if circuit.output_node not in node_index:
-            raise ValueError(f"output node {circuit.output_node!r} is not a node of the circuit")
-        source = circuit.element(circuit.input_source)
-        sources = [e.id for e in circuit.elements if e.kind is ElementKind.VSOURCE]
-        if sources != [source.id]:
-            raise ValueError(
-                f"input source {source.id!r} must be the circuit's only voltage "
-                f"source, found {sources}"
-            )
+        check_circuit(circuit)
         branches = [e for e in circuit.elements if e.kind in _BRANCH_KINDS]
         passives = [e for e in circuit.elements if e.kind in PASSIVE_KINDS]
 
@@ -201,31 +198,34 @@ class MnaSystem:
         if not ((omegas > 0.0) & (omegas < np.inf)).all():
             raise ValueError("frequencies must be positive and finite")
         column, dg, jdc = self._updates
-        ports = self.rhs.T
-        block = max(1, _BLOCK_ENTRIES // (self.size * (self.size + ports.shape[0])))
+        block = max(1, _BLOCK_ENTRIES // (self.size * (self.size + self.rhs.shape[1])))
         out = np.empty((len(self.labels), len(omegas)), dtype=complex)
         for start in range(0, len(omegas), block):
             part = slice(start, start + block)
             w = omegas[part]
             a = self.g + 1j * w[:, None, None] * self.c
+            # one (size, 1 + passives) right-hand side per frequency, stacked
+            # explicitly: numpy 1.x reads a 2-D b against a 3-D a as vectors
+            rhs = np.broadcast_to(self.rhs, (len(w), *self.rhs.shape))
             try:
-                x = np.linalg.solve(a, self.rhs)
+                x = np.linalg.solve(a, rhs)
             except np.linalg.LinAlgError:
                 _raise_failure(a, w, self.labels[0])
-            ux = ports @ x  # u.x0 and u.z, exact: u has at most two entries +-1
+            # u.x0 and u.z of every passive, exact: u has at most two entries +-1
+            ux0 = (x[:, :, 0] @ self.rhs)[:, column]
+            uz = np.einsum("nk,fnk->fk", self.rhs, x)[:, column]
             x_out = x[:, self.out_index]
             delta = dg + w[:, None] * jdc
             with np.errstate(all="ignore"):
                 out[1:, part] = (
-                    x_out[:, :1] - delta * ux[:, column, 0] * x_out[:, column]
-                    / (1.0 + delta * ux[:, column, column])
+                    x_out[:, :1] - delta * ux0 * x_out[:, column] / (1.0 + delta * uz)
                 ).T
             out[0, part] = x_out[:, 0]
         if not np.isfinite(out).all():
             row = int(np.argmin(np.isfinite(out).all(axis=1)))
             a = self.g + 1j * omegas[:, None, None] * self.c
             if row:
-                u = ports[column[row - 1]]
+                u = self.rhs[:, column[row - 1]]
                 delta = dg[row - 1] + omegas * jdc[row - 1]
                 a = a + delta[:, None, None] * np.outer(u, u)
             _raise_failure(a, omegas, self.labels[row])

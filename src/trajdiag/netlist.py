@@ -191,27 +191,37 @@ def parse_netlist(text: str) -> Circuit:
     if output_node is None:
         raise NetlistError("missing .output directive")
 
-    nodes: set[str] = set()
-    for element in elements:
-        nodes.update(element.nodes)
+    circuit = Circuit(tuple(elements), input_source, output_node)
+    try:
+        check_circuit(circuit)
+    except ValueError as exc:
+        raise NetlistError(str(exc)) from None
+    return circuit
+
+
+def check_circuit(circuit: Circuit) -> None:
+    """Raise ValueError unless ``circuit`` can be solved as a transfer function.
+
+    Ground must be referenced, the output must be a non-ground node of the
+    circuit, and the input must be its one and only voltage source.
+    :func:`parse_netlist` applies these rules to every netlist; the solver
+    applies them to hand-built circuits too.
+    """
+    nodes = circuit.nodes
     if GROUND not in nodes:
-        raise NetlistError('no element references the ground node "0"')
-    if output_node not in nodes:
-        raise NetlistError(f".output names unknown node {output_node!r}")
-    if output_node == GROUND:
-        raise NetlistError(".output is the ground node; its response is identically zero")
-
-    by_id = {e.id: e for e in elements}
-    source = by_id.get(input_source)
+        raise ValueError('no element references the ground node "0"')
+    if circuit.output_node not in nodes:
+        raise ValueError(f".output names unknown node {circuit.output_node!r}")
+    if circuit.output_node == GROUND:
+        raise ValueError(".output is the ground node; its response is identically zero")
+    source = next((e for e in circuit.elements if e.id == circuit.input_source), None)
     if source is None:
-        raise NetlistError(f".input names unknown element {input_source!r}")
+        raise ValueError(f".input names unknown element {circuit.input_source!r}")
     if source.kind is not ElementKind.VSOURCE:
-        raise NetlistError(f".input element {input_source!r} is not a voltage source")
-    n_sources = sum(1 for e in elements if e.kind is ElementKind.VSOURCE)
+        raise ValueError(f".input element {circuit.input_source!r} is not a voltage source")
+    n_sources = sum(1 for e in circuit.elements if e.kind is ElementKind.VSOURCE)
     if n_sources != 1:
-        raise NetlistError(f"exactly one voltage source is required, found {n_sources}")
-
-    return Circuit(tuple(elements), input_source, output_node)
+        raise ValueError(f"exactly one voltage source is required, found {n_sources}")
 
 
 def render_netlist(circuit: Circuit) -> str:

@@ -240,5 +240,8 @@ def reference_gains(circuit, specs, omegas):
     for row, variant in enumerate(variants):
         system = MnaSystem(variant)
         matrices = system.g + 1j * omegas[:, None, None] * system.c
-        outputs[row] = np.linalg.solve(matrices, system.rhs[:, 0])[:, system.out_index]
+        # an explicit (frequencies, size, 1) stack: numpy 1.x reads a lower-rank
+        # b against a stack of matrices as a stack of vectors
+        sources = np.broadcast_to(system.rhs[:, :1], (len(omegas), system.size, 1))
+        outputs[row] = np.linalg.solve(matrices, sources)[:, system.out_index, 0]
     return outputs

@@ -172,15 +172,14 @@ def test_ground_output_is_error():
 @pytest.mark.parametrize(
     "changes,fragment",
     [
-        (dict(output_node="0"), "output node '0' is ground"),
-        (dict(output_node="nope"), "output node 'nope' is not a node"),
-        (dict(input_source="R1"), "input source 'R1' must be the circuit's only voltage source"),
-        (dict(input_source="V9"), "unknown component 'V9'"),
+        (dict(output_node="0"), "output is the ground node"),
+        (dict(output_node="nope"), "unknown node 'nope'"),
+        (dict(input_source="R1"), "'R1' is not a voltage source"),
+        (dict(input_source="V9"), "unknown element 'V9'"),
     ],
 )
 def test_hand_built_circuit_rejected(changes, fragment):
-    # only parse_netlist validates a Circuit, so the solver checks the
-    # output node and the source of a hand-built one itself
+    # the solver applies parse_netlist's circuit rules to hand-built circuits
     circuit = replace(parse_netlist(DIVIDER), **changes)
     with pytest.raises(ValueError, match=fragment):
         sweep(circuit, [1.0, 2.0])
@@ -189,7 +188,7 @@ def test_hand_built_circuit_rejected(changes, fragment):
 def test_second_voltage_source_rejected():
     circuit = parse_netlist(DIVIDER)
     extra = Element("V2", ElementKind.VSOURCE, ("2", "0"), 1.0)
-    with pytest.raises(ValueError, match=r"found \['V1', 'V2'\]"):
+    with pytest.raises(ValueError, match="exactly one voltage source is required, found 2"):
         solve_ac(replace(circuit, elements=circuit.elements + (extra,)), 1.0)
 
 
