@@ -31,10 +31,13 @@ from .trajectory import TestVector, build_trajectories, count_intersections, int
 
 logger = logging.getLogger(__name__)
 
-# Frequencies per ensemble solve while scoring a generation. The solve is one
-# golden LU per frequency and a few KB; the incidence pass over the chunk's
-# vectors (vectors x segment pairs temporaries) sets the GA's peak memory.
-_SOLVE_FREQUENCIES = 8
+# Frequencies per ensemble solve while scoring a generation: 16 vectors at
+# n = 2. The solve is one golden LU per frequency and a few KB; the incidence
+# pass's (vectors x segment pairs) box-test temporaries set the GA's peak
+# memory. Max RSS of 11 in-process biquad runs (population 128, 1 generation,
+# numpy 2.4, 2-core x86 VM): 8 and 32 both 38.9-39.1 MB, 64 40.3 MB, 128
+# 42.0 MB; 32 to 64 bought 41 -> 36 ms per run.
+_SOLVE_FREQUENCIES = 32
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,17 @@ reported as an ``overlap`` (one count per segment pair), anything else
 as a ``cross``. Incidences whose entire contact region lies within the
 origin-exclusion ball are discarded, since every trajectory meets at the
 golden point by construction.
+
+One numpy kernel counts for every entry point. Its broad phase keeps
+only the segment pairs whose axis-aligned boxes, grown by twice the
+tolerance, touch on every axis (the box test of sweep-and-prune); the
+closed-form closest-point narrow phase then decides those pairs alone,
+about one in seven of the cross-trajectory pairs of a biquad vector.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,11 +154,21 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
-def _cross_pairs(traj_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Segment index pairs ``i < j`` that belong to different trajectories."""
+@functools.lru_cache(maxsize=16)
+def _cross_pairs(segments: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Segment index pairs ``i < j`` that belong to different trajectories.
+
+    ``segments`` gives each trajectory's segment count; segments are
+    numbered trajectory by trajectory. The arrays are cached per layout
+    and read-only.
+    """
+    traj_of = np.repeat(np.arange(len(segments)), segments)
     first, second = np.triu_indices(len(traj_of), 1)
     keep = traj_of[first] != traj_of[second]
-    return first[keep], second[keep]
+    pairs = first[keep], second[keep]
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _incidences(p0, p1, first, second, tol, origin_tol=None, origin=0.0):
@@ -165,14 +182,31 @@ def _incidences(p0, p1, first, second, tol, origin_tol=None, origin=0.0):
     midway between the closest points). With ``origin_tol`` set, contacts
     lying wholly within ``origin_tol`` of ``origin`` are dropped.
 
+    Broad phase: a pair whose distance is below ``tol`` has axis-aligned
+    boxes closer than ``tol`` on every axis, so only pairs whose boxes,
+    grown by ``2 * tol`` (the factor 2 absorbs rounding in ``lo - hi``),
+    touch on every axis go on. The narrow phase above decides each
+    survivor, on point-major (K, n) rows, with the arithmetic of a pass
+    over all pairs.
+
     Returns ``(batch, pair, overlap, point)`` of the kept incidences in
     (batch, pair) order; ``overlap`` is False for a cross.
     """
-    d = p1 - p0
-    dd = _dot(d, d)
-    u, v = d[:, first], d[:, second]
-    uu, vv = dd[:, first], dd[:, second]
-    r = p0[:, first] - p0[:, second]
+    # coordinate-major (n, B, S) box bounds, so each axis is a contiguous take
+    box_lo = np.minimum(p0, p1).transpose(2, 0, 1).copy()
+    box_hi = np.maximum(p0, p1).transpose(2, 0, 1).copy()
+    grow = 2.0 * tol
+    near = np.ones((p0.shape[0], len(first)), dtype=bool)
+    for lo_k, hi_k in zip(box_lo, box_hi):
+        near &= lo_k.take(first, axis=1) - hi_k.take(second, axis=1) < grow
+        near &= lo_k.take(second, axis=1) - hi_k.take(first, axis=1) < grow
+    batch, pair = np.nonzero(near)
+
+    i, j = first[pair], second[pair]
+    a0, b0 = p0[batch, i], p0[batch, j]
+    u, v = p1[batch, i] - a0, p1[batch, j] - b0
+    uu, vv = _dot(u, u), _dot(v, v)
+    r = a0 - b0
     uv, ur, vr = _dot(u, v), _dot(u, r), _dot(v, r)
     denom = uu * vv - uv * uv
     s = np.clip(_ratio(uv * vr - ur * vv, denom), 0.0, 1.0)
@@ -181,13 +215,12 @@ def _incidences(p0, p1, first, second, tol, origin_tol=None, origin=0.0):
     edge = (t < 0.0) | (t > 1.0) | (vv <= 0.0)
     np.clip(t, 0.0, 1.0, out=t)
     s = np.where(edge, np.clip(_ratio(uv * t - ur, uu), 0.0, 1.0), s)
-    diff = r + s[..., None] * u - t[..., None] * v
-    batch, pair = np.nonzero(np.sqrt(_dot(diff, diff)) < tol)
+    diff = r + s[:, None] * u - t[:, None] * v
+    hit = np.sqrt(_dot(diff, diff)) < tol
 
-    i, j = first[pair], second[pair]
-    a0, a1, b0, b1 = p0[batch, i], p1[batch, i], p0[batch, j], p1[batch, j]
-    u, v, uu, vv = d[batch, i], d[batch, j], dd[batch, i], dd[batch, j]
-    s, t, denom = s[batch, pair], t[batch, pair], denom[batch, pair]
+    batch, pair, i, j, a0, b0 = (x[hit] for x in (batch, pair, i, j, a0, b0))
+    u, v, uu, vv, s, t, denom = (x[hit] for x in (u, v, uu, vv, s, t, denom))
+    a1, b1 = p1[batch, i], p1[batch, j]
     with np.errstate(divide="ignore", invalid="ignore"):
         lo_b = _dot(b0 - a0, u) / uu
         hi_b = _dot(b1 - a0, u) / uu
@@ -269,7 +302,7 @@ def count_intersections(
     p1 = np.concatenate([pts[1:] for pts in points])
     traj_of = np.repeat(np.arange(len(points)), [len(pts) - 1 for pts in points])
     seg_of = np.concatenate([np.arange(len(pts) - 1) for pts in points])
-    first, second = _cross_pairs(traj_of)
+    first, second = _cross_pairs(tuple(len(pts) - 1 for pts in points))
     _, pair, overlap, point = _incidences(
         p0[None], p1[None], first, second, tol, origin_tol, origin
     )
@@ -302,7 +335,7 @@ def intersection_counts(
     batch, targets, n_points = stack.shape[:3]
     p0 = stack[:, :, :-1].reshape(batch, -1, n)
     p1 = stack[:, :, 1:].reshape(batch, -1, n)
-    first, second = _cross_pairs(np.repeat(np.arange(targets), n_points - 1))
+    first, second = _cross_pairs((n_points - 1,) * targets)
     hits, _, _, _ = _incidences(
         p0, p1, first, second, tol, tol if origin_tol is None else origin_tol
     )
