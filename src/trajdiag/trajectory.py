@@ -11,7 +11,8 @@ Incidence between two segments is decided by their minimum distance
 (closed-form clamped closest-point computation, any dimension) against a
 tolerance; a pair that stays parallel over a positive overlap length is
 reported as an ``overlap`` (one count per segment pair), anything else
-as a ``cross``. Incidences whose entire contact region lies within the
+as a ``cross``; a cross of two segments that share an endpoint is at
+that endpoint, however ill-conditioned their closest points. Incidences whose entire contact region lies within the
 origin-exclusion ball are discarded, since every trajectory meets at the
 golden point by construction.
 
@@ -178,8 +179,8 @@ def _incidences(p0, p1, first, second, tol, origin_tol=None, origin=0.0):
     segment indices of the pairs to test. A pair is incident when its
     clamped closest-point distance is below ``tol``. Parallel pairs with a
     positive common length are overlaps (point: middle of the common
-    part); the rest are crosses (point: the exact 2-D crossing, else
-    midway between the closest points). With ``origin_tol`` set, contacts
+    part); the rest are crosses (point: an endpoint the two share, else
+    the exact 2-D crossing, else midway between the closest points). With ``origin_tol`` set, contacts
     lying wholly within ``origin_tol`` of ``origin`` are dropped.
 
     Broad phase: a pair whose distance is below ``tol`` has axis-aligned
@@ -239,6 +240,9 @@ def _incidences(p0, p1, first, second, tol, origin_tol=None, origin=0.0):
             )
             crossing = a0 + (_cross2(w0, v) / uxv)[:, None] * u
             point = np.where(proper[:, None], crossing, point)
+        # a pair that shares an endpoint and does not overlap meets there only
+        for x, y in ((a0, b0), (a0, b1), (a1, b0), (a1, b1)):
+            point = np.where((x == y).all(axis=1)[:, None], x, point)
         lo_end = np.where(overlap[:, None], a0 + lo[:, None] * u, point)
         hi_end = np.where(overlap[:, None], a0 + hi[:, None] * u, point)
         mid = a0 + (0.5 * (lo + hi))[:, None] * u

@@ -161,6 +161,11 @@ def classify_incidence(a0, a1, b0, b1, s, t):
             rep = _axpy(0.5 * (lo + hi), u, a0)
             return "overlap", rep, (_axpy(lo, u, a0), _axpy(hi, u, a0))
 
+    # a pair that shares an endpoint and does not overlap meets there only
+    for x, y in ((a0, b0), (a0, b1), (a1, b0), (a1, b1)):
+        if list(x) == list(y):
+            return "cross", list(x), (list(x),)
+
     if len(a0) == 2:
         w0 = _sub(b0, a0)
         o1 = _cross2(u, w0)

@@ -375,6 +375,15 @@ def test_kernel_degenerate_vectors(biquad, biquad_faults):
     assert all(intersection_counts(biquad, biquad_faults, vectors[:3]) > 0)
 
 
+def test_shared_endpoint_cross_is_at_that_endpoint(biquad, biquad_faults):
+    # generation-0 vector of `optimize --seed 1`: R3 and C1 segments 3 both end
+    # at the origin, 1.4e-5 rad apart, and their clamped closest points fall
+    # 1.1e-6 from it, outside origin_tol
+    tv = TestVector((46.376219227163986, 49.7365531917399))
+    assert intersection_counts(biquad, biquad_faults, [tv])[0] == 0
+    assert assert_matches_reference(build_trajectories(biquad, biquad_faults, tv)) == 0
+
+
 @pytest.mark.parametrize(
     "a_pts,b_pts,expected",
     [
