@@ -257,6 +257,13 @@ def _incidences(p0, p1, first, second, tol, origin_tol=None, origin=0.0):
     return batch[keep], pair[keep], overlap[keep], point[keep]
 
 
+def _check_tolerances(**tolerances) -> None:
+    """Raise ``ValueError`` unless every given tolerance is positive and finite."""
+    for name, value in tolerances.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def segment_incidence(a0, a1, b0, b1, tol: float):
     """Classify the incidence between two bare segments.
 
@@ -266,8 +273,7 @@ def segment_incidence(a0, a1, b0, b1, tol: float):
     :func:`count_intersections` (which additionally applies the
     origin-exclusion rule).
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerances(tol=tol)
     p0 = np.asarray([[a0, b0]], dtype=float)
     p1 = np.asarray([[a1, b1]], dtype=float)
     _, _, overlap, point = _incidences(p0, p1, np.array([0]), np.array([1]), tol)
@@ -286,8 +292,8 @@ def count_intersections(
     around the golden point, inside which contacts are expected and not
     counted. ``origin`` defaults to the zero vector.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    origin_tol = tol if origin_tol is None else origin_tol
+    _check_tolerances(tol=tol, origin_tol=origin_tol)
     trajectories = list(trajectories)
     if len(trajectories) < 2:
         return 0, []
@@ -295,8 +301,6 @@ def count_intersections(
     if len(dims) != 1:
         raise ValueError(f"trajectories have mixed dimensions: {sorted(dims)}")
     n = dims.pop()
-    if origin_tol is None:
-        origin_tol = tol
     origin = np.zeros(n) if origin is None else np.asarray(origin, dtype=float)
     if origin.shape != (n,):
         raise ValueError("origin dimension does not match trajectories")
@@ -331,18 +335,20 @@ def intersection_counts(
     Count-only counterpart of ``build_trajectories`` followed by
     :func:`count_intersections`, with the same results.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    origin_tol = tol if origin_tol is None else origin_tol
+    _check_tolerances(tol=tol, origin_tol=origin_tol)
+    if not vectors:
+        raise ValueError("need at least one test vector")
     n = len(vectors[0].frequencies)
+    if any(len(tv.frequencies) != n for tv in vectors):
+        raise ValueError("test vectors must all have the same number of frequencies")
     omegas = np.concatenate([tv.frequencies for tv in vectors])
     stack = _signature_stack(ensemble_for(circuit, config).magnitudes(omegas), config, n)
     batch, targets, n_points = stack.shape[:3]
     p0 = stack[:, :, :-1].reshape(batch, -1, n)
     p1 = stack[:, :, 1:].reshape(batch, -1, n)
     first, second = _cross_pairs((n_points - 1,) * targets)
-    hits, _, _, _ = _incidences(
-        p0, p1, first, second, tol, tol if origin_tol is None else origin_tol
-    )
+    hits, _, _, _ = _incidences(p0, p1, first, second, tol, origin_tol)
     return np.bincount(hits, minlength=batch)
 
 

@@ -283,6 +283,31 @@ def test_tolerance_validation():
     assert count_intersections([a], 1e-6) == (0, [])
 
 
+@pytest.mark.parametrize(
+    "tol,origin_tol",
+    [(math.nan, None), (math.inf, None), (0.0, None),
+     (1e-6, math.nan), (1e-6, math.inf), (1e-6, -1.0)],
+)
+def test_bad_tolerances_rejected(biquad, biquad_faults, tol, origin_tol):
+    a = make_trajectory("A", [(1.0, 1.0)])
+    b = make_trajectory("B", [(1.0, 0.0)])
+    with pytest.raises(ValueError, match="positive and finite"):
+        count_intersections([a, b], tol, origin_tol)
+    with pytest.raises(ValueError, match="positive and finite"):
+        intersection_counts(biquad, biquad_faults, [TestVector((0.4, 1.7))], tol, origin_tol)
+    if origin_tol is None:
+        with pytest.raises(ValueError, match="positive and finite"):
+            segment_incidence((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), tol)
+
+
+def test_intersection_counts_rejects_bad_batches(biquad, biquad_faults):
+    with pytest.raises(ValueError, match="at least one test vector"):
+        intersection_counts(biquad, biquad_faults, [])
+    mixed = [TestVector((0.4,)), TestVector((0.4, 1.7, 3.0))]
+    with pytest.raises(ValueError, match="same number of frequencies"):
+        intersection_counts(biquad, biquad_faults, mixed)
+
+
 # ------------------------------------------------- fast predicate vs oracle
 
 
@@ -399,6 +424,15 @@ def test_shared_endpoint_cross_is_at_that_endpoint(biquad, biquad_faults):
         # zero-length segments (repeated points) on another trajectory
         ([(1.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0.5, 1.0), (1.5, 0.0), (1.5, 0.0)], 2),
         ([(2.0, 0.0)], [(0.5, 0.5), (1.0, 0.0), (1.0, 0.0)], 2),
+        # near tol away from the origin, where the box test must pass the pair on:
+        # parallel segments 0.9e-6 and 1.1e-6 apart,
+        ([(1.0, 0.0), (1.0, 1.0)], [(1.0 + 0.9e-6, 2.0), (1.0 + 0.9e-6, 0.5)], 1),
+        ([(1.0, 0.0), (1.0, 1.0)], [(1.0 + 1.1e-6, 2.0), (1.0 + 1.1e-6, 0.5)], 0),
+        # diagonal parallels with overlapping boxes, 1.56e-6 apart,
+        ([(1.0, 1.0), (2.0, 2.0)], [(1.0 + 1.1e-6, 1.0 - 1.1e-6), (2.0 + 1.1e-6, 2.0 - 1.1e-6)], 0),
+        # and an end 0.9e-6 (then 1.1e-6) short of a segment: box gap on x only
+        ([(1.0, 0.0), (1.0, 1.0)], [(2.0, -1.0), (2.0, 0.5), (1.0 + 0.9e-6, 0.5)], 1),
+        ([(1.0, 0.0), (1.0, 1.0)], [(2.0, -1.0), (2.0, 0.5), (1.0 + 1.1e-6, 0.5)], 0),
     ],
 )
 def test_kernel_constructed_configurations(a_pts, b_pts, expected):
