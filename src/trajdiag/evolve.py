@@ -34,9 +34,9 @@ logger = logging.getLogger(__name__)
 # Frequencies per ensemble solve while scoring a generation: 16 vectors at
 # n = 2. The solve is one golden LU per frequency and a few KB; the incidence
 # pass's (vectors x segment pairs) box-test temporaries set the GA's peak
-# memory. Max RSS of 11 in-process biquad runs (population 128, 1 generation,
-# numpy 2.4, 2-core x86 VM): 8 and 32 both 38.9-39.1 MB, 64 40.3 MB, 128
-# 42.0 MB; 32 to 64 bought 41 -> 36 ms per run.
+# memory. Max RSS over 11 in-process biquad runs (population 128, 1
+# generation, numpy 2.4.6, 2-core x86 VM) by chunk size: 8 and 32 both
+# 38.9-39.1 MB, 64 40.3 MB, 128 42.0 MB.
 _SOLVE_FREQUENCIES = 32
 
 

@@ -11,16 +11,18 @@ Incidence between two segments is decided by their minimum distance
 (closed-form clamped closest-point computation, any dimension) against a
 tolerance; a pair that stays parallel over a positive overlap length is
 reported as an ``overlap`` (one count per segment pair), anything else
-as a ``cross``; a cross of two segments that share an endpoint is at
-that endpoint, however ill-conditioned their closest points. Incidences whose entire contact region lies within the
-origin-exclusion ball are discarded, since every trajectory meets at the
-golden point by construction.
+as a ``cross``; a cross of two segments that share an endpoint lies at
+that endpoint, however ill-conditioned their closest points are.
+Incidences whose entire contact region lies within the origin-exclusion
+ball are discarded, since every trajectory meets at the golden point by
+construction.
 
-One numpy kernel counts for every entry point. Its broad phase keeps
-only the segment pairs whose axis-aligned boxes, grown by twice the
-tolerance, touch on every axis (the box test of sweep-and-prune); the
-closed-form closest-point narrow phase then decides those pairs alone,
-about one in seven of the cross-trajectory pairs of a biquad vector.
+One numpy kernel serves every counting entry point. Its broad phase
+keeps only the segment pairs whose axis-aligned boxes, grown by twice
+the tolerance, touch on every axis (the box test of sweep-and-prune);
+the closed-form closest-point test then runs on those pairs alone,
+about 13% of the 1344 cross-trajectory pairs of a random 2-frequency
+biquad vector (11% at 3 frequencies, 20% at 1).
 """
 
 from __future__ import annotations
@@ -180,15 +182,16 @@ def _incidences(p0, p1, first, second, tol, origin_tol=None, origin=0.0):
     clamped closest-point distance is below ``tol``. Parallel pairs with a
     positive common length are overlaps (point: middle of the common
     part); the rest are crosses (point: an endpoint the two share, else
-    the exact 2-D crossing, else midway between the closest points). With ``origin_tol`` set, contacts
-    lying wholly within ``origin_tol`` of ``origin`` are dropped.
+    the exact 2-D crossing, else midway between the closest points). With
+    ``origin_tol`` set, contacts lying wholly within ``origin_tol`` of
+    ``origin`` are dropped.
 
-    Broad phase: a pair whose distance is below ``tol`` has axis-aligned
-    boxes closer than ``tol`` on every axis, so only pairs whose boxes,
+    A broad phase runs first. A pair closer than ``tol`` has axis-aligned
+    boxes closer than ``tol`` on every axis, so only the pairs whose boxes,
     grown by ``2 * tol`` (the factor 2 absorbs rounding in ``lo - hi``),
-    touch on every axis go on. The narrow phase above decides each
-    survivor, on point-major (K, n) rows, with the arithmetic of a pass
-    over all pairs.
+    touch on every axis reach the closest-point test. That test runs on
+    point-major (K, n) rows of the survivors, with the same arithmetic as
+    a pass over all pairs.
 
     Returns ``(batch, pair, overlap, point)`` of the kept incidences in
     (batch, pair) order; ``overlap`` is False for a cross.
@@ -308,9 +311,10 @@ def count_intersections(
     points = [np.asarray([p.coords for p in traj.points]) for traj in trajectories]
     p0 = np.concatenate([pts[:-1] for pts in points])
     p1 = np.concatenate([pts[1:] for pts in points])
-    traj_of = np.repeat(np.arange(len(points)), [len(pts) - 1 for pts in points])
-    seg_of = np.concatenate([np.arange(len(pts) - 1) for pts in points])
-    first, second = _cross_pairs(tuple(len(pts) - 1 for pts in points))
+    segments = tuple(len(pts) - 1 for pts in points)
+    traj_of = np.repeat(np.arange(len(points)), segments)
+    seg_of = np.concatenate([np.arange(k) for k in segments])
+    first, second = _cross_pairs(segments)
     _, pair, overlap, point = _incidences(
         p0[None], p1[None], first, second, tol, origin_tol, origin
     )
