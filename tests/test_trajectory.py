@@ -429,7 +429,11 @@ def test_shared_endpoint_cross_is_at_that_endpoint(biquad, biquad_faults):
         ([(1.0, 0.0), (1.0, 1.0)], [(1.0 + 0.9e-6, 2.0), (1.0 + 0.9e-6, 0.5)], 1),
         ([(1.0, 0.0), (1.0, 1.0)], [(1.0 + 1.1e-6, 2.0), (1.0 + 1.1e-6, 0.5)], 0),
         # diagonal parallels with overlapping boxes, 1.56e-6 apart,
-        ([(1.0, 1.0), (2.0, 2.0)], [(1.0 + 1.1e-6, 1.0 - 1.1e-6), (2.0 + 1.1e-6, 2.0 - 1.1e-6)], 0),
+        (
+            [(1.0, 1.0), (2.0, 2.0)],
+            [(1.0 + 1.1e-6, 1.0 - 1.1e-6), (2.0 + 1.1e-6, 2.0 - 1.1e-6)],
+            0,
+        ),
         # and an end 0.9e-6 (then 1.1e-6) short of a segment: box gap on x only
         ([(1.0, 0.0), (1.0, 1.0)], [(2.0, -1.0), (2.0, 0.5), (1.0 + 0.9e-6, 0.5)], 1),
         ([(1.0, 0.0), (1.0, 1.0)], [(2.0, -1.0), (2.0, 0.5), (1.0 + 1.1e-6, 0.5)], 0),
