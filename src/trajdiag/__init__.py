@@ -32,7 +32,6 @@ from .netlist import (
     Circuit,
     Element,
     ElementKind,
-    apply_deviation,
     parse_netlist,
     render_netlist,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "TestVector",
     "Trajectory",
     "TrajdiagError",
-    "apply_deviation",
     "build_dictionary",
     "build_trajectories",
     "classify",

@@ -34,15 +34,14 @@ from .faultlib import (
     FaultSpec,
     build_dictionary,
     check_grid,
+    enumerate_faults,
     evaluate_at,
-    validate_targets,
     write_dictionary_csv,
 )
-from .netlist import PASSIVE_KINDS, parse_netlist
+from .netlist import deviation_target, parse_netlist
 from .trajectory import (
     TestVector,
     build_trajectories,
-    count_intersections,
     read_trajectories_csv,
     signature,
     write_trajectories_csv,
@@ -182,7 +181,8 @@ def _fault_config(config: RunConfig, circuit) -> FaultConfig:
     targets = circuit.passive_ids() if config.targets is None else config.targets
     fault_config = FaultConfig(targets, config.range_low, config.range_high, config.step)
     try:
-        validate_targets(circuit, fault_config)
+        for spec in enumerate_faults(fault_config):
+            deviation_target(circuit, spec)
     except ValueError as exc:
         raise ConfigError(f"config field 'targets': {exc}") from None
     return fault_config
@@ -202,7 +202,7 @@ def cmd_simulate(config: RunConfig) -> int:
     out = _outdir(config)
     write_dictionary_csv(out / "dictionary.csv", dictionary, frequencies=user_grid)
     print(
-        f"wrote {out / 'dictionary.csv'}: golden + {len(dictionary.entries)} faults "
+        f"wrote {out / 'dictionary.csv'}: golden + {len(dictionary.magnitudes_db) - 1} faults "
         f"x {config.grid} points"
     )
     return 0
@@ -280,13 +280,8 @@ def cmd_diagnose(config: RunConfig, measured: str | None, inject: str | None) ->
         if not amount:
             raise ConfigError("--inject: expected <component>:<deviation>")
         try:
-            element = circuit.element(component)
-        except ValueError as exc:
-            raise ConfigError(f"--inject: {exc}") from None
-        if element.kind not in PASSIVE_KINDS:
-            raise ConfigError(f"--inject: {component} is not a passive element")
-        try:
             spec = FaultSpec(component, float(amount))
+            deviation_target(circuit, spec)
         except ValueError as exc:
             raise ConfigError(f"--inject: {exc}") from None
         faulty = evaluate_at(circuit, spec, tv.frequencies)
@@ -385,6 +380,8 @@ def cmd_plot_data(config: RunConfig, query: str | None) -> int:
         trajectories = read_trajectories_csv(path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if trajectories[0].dimension < 2:
+        raise ConfigError(f"{path}: plot-data needs 2 or more test frequencies")
     query_point = None
     if query is not None:
         try:

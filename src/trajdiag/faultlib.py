@@ -10,7 +10,9 @@ Every magnitude comes from ``acsim.MnaSystem``: one cached golden system
 per circuit, whose faults are rank-one updates of the golden solve.
 :class:`FaultEnsemble` adds every grid fault to it (dictionary,
 trajectories, GA), and :func:`evaluate_at` adds the one fault a query
-asks about, through the same update code.
+asks about, through the same update code. The fault dictionary is the
+ensemble's (1 + faults, frequencies) dB array itself; its ``golden`` and
+``entries`` curves are views built on demand.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .acsim import MnaSystem, ResponseCurve
 from .errors import ConfigError
-from .netlist import PASSIVE_KINDS, Circuit
+from .netlist import Circuit
 
 DEFAULT_RANGE_LOW = 0.6
 DEFAULT_RANGE_HIGH = 1.4
@@ -112,28 +114,47 @@ def enumerate_faults(config: FaultConfig) -> tuple[FaultSpec, ...]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaultDictionary:
-    """Golden sweep plus one sweep per enumerated fault."""
+    """Golden sweep plus one sweep per enumerated fault.
 
-    golden: ResponseCurve
-    entries: dict[FaultSpec, ResponseCurve]
+    ``magnitudes_db`` has shape (1 + faults, len(frequencies)): row 0 is
+    the golden circuit and row 1 + k the k-th fault of
+    :func:`enumerate_faults`, the row order of :class:`FaultEnsemble`.
+    Frequencies are angular and strictly increasing. Two dictionaries are
+    equal when their configs and arrays are.
+    """
+
     config: FaultConfig
+    frequencies: np.ndarray
+    magnitudes_db: np.ndarray
 
     def __post_init__(self):
-        expected = enumerate_faults(self.config)
-        if tuple(self.entries.keys()) != expected:
-            raise ValueError("dictionary entries do not match the configured grid")
+        shape = (1 + len(enumerate_faults(self.config)), len(self.frequencies))
+        if self.magnitudes_db.shape != shape:
+            raise ValueError(f"magnitudes of shape {self.magnitudes_db.shape} do not match {shape}")
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, FaultDictionary)
+            and self.config == other.config
+            and np.array_equal(self.frequencies, other.frequencies)
+            and np.array_equal(self.magnitudes_db, other.magnitudes_db)
+        )
 
-def validate_targets(circuit: Circuit, config: FaultConfig) -> None:
-    """Every target must name a passive element of the circuit."""
-    for target in config.targets:
-        element = circuit.element(target)  # ValueError when unknown
-        if element.kind not in PASSIVE_KINDS:
-            raise ValueError(
-                f"{target}: only resistor/capacitor/inductor values can be deviated"
-            )
+    @property
+    def golden(self) -> ResponseCurve:
+        """Row 0 as a curve, built on each access."""
+        return self._curve(0)
+
+    @property
+    def entries(self) -> dict[FaultSpec, ResponseCurve]:
+        """Every fault row as a curve, in :func:`enumerate_faults` order."""
+        specs = enumerate_faults(self.config)
+        return {spec: self._curve(row) for row, spec in enumerate(specs, start=1)}
+
+    def _curve(self, row: int) -> ResponseCurve:
+        return ResponseCurve(tuple(self.frequencies.tolist()), tuple(self.magnitudes_db[row].tolist()))
 
 
 class FaultEnsemble:
@@ -144,11 +165,9 @@ class FaultEnsemble:
     the circuit's cached golden system, so nothing is re-stamped.
     """
 
-    __slots__ = ("circuit", "config", "specs", "_system")
+    __slots__ = ("specs", "_system")
 
     def __init__(self, circuit: Circuit, config: FaultConfig):
-        self.circuit = circuit
-        self.config = config
         self.specs = enumerate_faults(config)
         self._system = _golden_system(circuit).with_faults(self.specs)
 
@@ -185,27 +204,25 @@ def evaluate_at(circuit: Circuit, fault, frequencies) -> tuple[float, ...]:
 
 def build_dictionary(circuit: Circuit, config: FaultConfig, grid) -> FaultDictionary:
     """Sweep the golden circuit and every enumerated fault over ``grid``."""
-    omegas = np.asarray(grid, dtype=float)
-    ensemble = ensemble_for(circuit, config)
-    frequencies = tuple(omegas.tolist())
-    golden, *faulty = (
-        ResponseCurve(frequencies, tuple(row))
-        for row in ensemble.magnitudes(omegas).tolist()
-    )
-    return FaultDictionary(golden, dict(zip(ensemble.specs, faulty)), config)
+    omegas = np.array(grid, dtype=float)
+    if np.any(np.diff(omegas) <= 0.0):
+        raise ValueError("frequencies must be strictly increasing")
+    magnitudes = ensemble_for(circuit, config).magnitudes(omegas)
+    omegas.flags.writeable = magnitudes.flags.writeable = False
+    return FaultDictionary(config, omegas, magnitudes)
 
 
 def write_dictionary_csv(path, dictionary: FaultDictionary, frequencies=None) -> None:
-    """``component,deviation,freq,mag_db`` rows; golden rows lead."""
-    freqs = (
-        dictionary.golden.frequencies if frequencies is None else tuple(frequencies)
-    )
+    """``component,deviation,freq,mag_db`` rows; golden rows lead.
+
+    ``frequencies`` replace the dictionary's in the freq column (the CLI
+    writes the user's unit). Each row of the array is written at once.
+    """
+    freqs = dictionary.frequencies if frequencies is None else frequencies
+    columns = [f",{f:.17g}," for f in np.asarray(freqs, dtype=float).tolist()]
+    specs = enumerate_faults(dictionary.config)
+    labels = [f"{GOLDEN_LABEL},0", *(f"{s.component},{s.deviation:.17g}" for s in specs)]
     with open(path, "w", newline="") as fh:
         fh.write("component,deviation,freq,mag_db\n")
-        for f, m in zip(freqs, dictionary.golden.magnitudes_db):
-            fh.write(f"{GOLDEN_LABEL},0,{f:.17g},{m:.17g}\n")
-        for spec, curve in dictionary.entries.items():
-            for f, m in zip(freqs, curve.magnitudes_db):
-                fh.write(
-                    f"{spec.component},{spec.deviation:.17g},{f:.17g},{m:.17g}\n"
-                )
+        for label, row in zip(labels, dictionary.magnitudes_db):
+            fh.write("".join(f"{label}{c}{m:.17g}\n" for c, m in zip(columns, row.tolist())))

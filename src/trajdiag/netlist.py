@@ -15,15 +15,14 @@ The accepted grammar is deliberately small:
 * node ``0`` is ground and must be referenced somewhere; it is never the output
 
 Parsed circuits are immutable. :func:`deviation_target` checks a fault
-against a circuit (the solver applies it as a rank-one update), and
-:func:`apply_deviation` builds a deviated copy.
+against a circuit; the solver applies it as a rank-one update.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NetlistError
@@ -249,17 +248,3 @@ def deviation_target(circuit: Circuit, fault) -> Element:
             f"deviation {fault.deviation} would make {element.id} non-positive"
         )
     return element
-
-
-def apply_deviation(circuit: Circuit, fault) -> Circuit:
-    """Return a copy of ``circuit`` with one passive value scaled by (1 + deviation).
-
-    The input circuit is left untouched; see :func:`deviation_target` for
-    the accepted faults.
-    """
-    element = deviation_target(circuit, fault)
-    scaled = replace(element, value=element.value * (1.0 + fault.deviation))
-    return replace(
-        circuit,
-        elements=tuple(scaled if e.id == element.id else e for e in circuit.elements),
-    )

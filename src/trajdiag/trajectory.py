@@ -370,14 +370,18 @@ def write_trajectories_csv(path, trajectories) -> None:
 
 
 def read_trajectories_csv(path) -> list[Trajectory]:
-    """Inverse of :func:`write_trajectories_csv`."""
+    """Inverse of :func:`write_trajectories_csv`; every row must have as
+    many fields as the header."""
     with open(path, "r", newline="") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if len(lines) < 2:
         raise ValueError(f"{path}: no trajectory data")
+    width = len(lines[0].split(","))
     grouped: dict[str, list[SignaturePoint]] = {}
     for line in lines[1:]:
         fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(f"{path}: a row has {len(fields)} fields, the header has {width}")
         component, deviation = fields[0], float(fields[1])
         coords = tuple(float(x) for x in fields[2:])
         grouped.setdefault(component, []).append(

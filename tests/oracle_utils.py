@@ -5,10 +5,16 @@ sampling: 10^4 points on each segment, each checked against the other
 segment with a distance threshold. It was written before (and
 independently of) the closed-form predicate it cross-checks. The solve
 reference computes each fault variant's gains from its own stamped
-matrices, one dense LU per circuit and frequency.
+matrices, one dense LU per circuit and frequency. The dictionary writer
+reference writes ``dictionary.csv`` one value at a time, from the
+``golden`` and ``entries`` curves.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from trajdiag.netlist import deviation_target
 
 SAMPLES = 10_000
 
@@ -237,7 +243,6 @@ def reference_gains(circuit, specs, omegas):
     fault in ``specs``: a direct LU per variant and frequency of that
     variant's own stamped MNA matrices ``G + jwC``, with no rank-one update."""
     from trajdiag.acsim import MnaSystem
-    from trajdiag.netlist import apply_deviation
 
     omegas = np.asarray(omegas, dtype=float)
     variants = [circuit] + [apply_deviation(circuit, spec) for spec in specs]
@@ -250,3 +255,35 @@ def reference_gains(circuit, specs, omegas):
         sources = np.broadcast_to(system.rhs[:, :1], (len(omegas), system.size, 1))
         outputs[row] = np.linalg.solve(matrices, sources)[:, system.out_index, 0]
     return outputs
+
+
+def apply_deviation(circuit, fault):
+    """A copy of ``circuit`` with one passive value scaled by (1 + deviation).
+
+    The input circuit is left untouched; faults are checked by
+    ``netlist.deviation_target``.
+    """
+    element = deviation_target(circuit, fault)
+    scaled = replace(element, value=element.value * (1.0 + fault.deviation))
+    return replace(
+        circuit,
+        elements=tuple(scaled if e.id == element.id else e for e in circuit.elements),
+    )
+
+
+def reference_dictionary_csv(path, dictionary, frequencies=None):
+    """``dictionary.csv`` written one value at a time from the curve views."""
+    from trajdiag.faultlib import GOLDEN_LABEL
+
+    freqs = (
+        dictionary.golden.frequencies if frequencies is None else tuple(frequencies)
+    )
+    with open(path, "w", newline="") as fh:
+        fh.write("component,deviation,freq,mag_db\n")
+        for f, m in zip(freqs, dictionary.golden.magnitudes_db):
+            fh.write(f"{GOLDEN_LABEL},0,{f:.17g},{m:.17g}\n")
+        for spec, curve in dictionary.entries.items():
+            for f, m in zip(freqs, curve.magnitudes_db):
+                fh.write(
+                    f"{spec.component},{spec.deviation:.17g},{f:.17g},{m:.17g}\n"
+                )

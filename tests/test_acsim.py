@@ -8,6 +8,7 @@ from trajdiag.errors import NetlistError, SimulationError
 from trajdiag.netlist import Element, ElementKind, parse_netlist
 
 from conftest import ONE_POLE_RC
+from oracle_utils import apply_deviation
 
 ONE_POLE_RL = "V1 1 0 1\nL1 1 2 1\nR1 2 0 1\n.input V1\n.output 2\n"
 DIVIDER = "V1 1 0 1\nR1 1 2 1\nR2 2 0 1\n.input V1\n.output 2\n"
@@ -87,7 +88,6 @@ def test_biquad_deviated_against_symbolic_oracle(biquad, biquad_faults):
     import sympy as sp
 
     from trajdiag.faultlib import FaultSpec
-    from trajdiag.netlist import apply_deviation
 
     s = sp.symbols("s")
     vt, va, vn, vo = sp.symbols("vt va vn vo")

@@ -210,6 +210,16 @@ def test_simulate_hz_unit(tmp_path):
     assert mag == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "target,fragment",
+    [("E1", "E1: only resistor/capacitor/inductor"), ("X9", "unknown component 'X9'")],
+)
+def test_simulate_bad_target_exit_2(tmp_path, capsys, target, fragment):
+    assert run(["simulate", "--outdir", tmp_path / "out", "--targets", target]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: config field 'targets': ") and fragment in line
+
+
 # ---------------------------------------------------------------- optimize
 
 
@@ -354,6 +364,18 @@ def test_diagnose_unknown_inject_component(tmp_path, capsys):
     assert "X7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("inject", ["E1:0.1", "V1:0.1"])
+def test_diagnose_inject_non_passive_exit_2(tmp_path, capsys, inject):
+    out = tmp_path / "out"
+    plant_best_vector(out, ORACLE_VECTOR)
+    assert run(["diagnose", "--outdir", out, "--inject", inject]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    component = inject.split(":")[0]
+    assert line == (
+        f"error: --inject: {component}: only resistor/capacitor/inductor values can be deviated"
+    )
+
+
 @pytest.mark.parametrize("value", ["nan,nan", "inf,-1", "-inf,-1"])
 def test_diagnose_measured_non_finite(tmp_path, capsys, value):
     out = tmp_path / "out"
@@ -461,6 +483,32 @@ def test_plot_data_empty_input(tmp_path, capsys):
     out.mkdir()
     (out / "trajectories.csv").write_text("component,deviation,x1,x2\n")
     assert run(["plot-data", "--outdir", out]) == 2
+
+
+def test_plot_data_one_frequency_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["--outdir", out, "--n-frequencies", 1, "--generations", 1, "--population-size", 8]
+    assert run(["optimize"] + args) == 0
+    capsys.readouterr()
+    assert run(["plot-data", "--outdir", out]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "plot-data needs 2 or more test frequencies" in line
+    assert not (out / "trajectories.svg").exists()
+
+
+def test_plot_data_short_rows_exit_2(tmp_path, capsys, biquad, biquad_faults):
+    # every C2 row loses x2: alone, C2 would be a consistent 1-D trajectory
+    out = _plant_trajectories(tmp_path, biquad, biquad_faults)
+    path = out / "trajectories.csv"
+    lines = [
+        line.rsplit(",", 1)[0] if line.startswith("C2,") else line
+        for line in path.read_text().splitlines()
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["plot-data", "--outdir", out]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "a row has 3 fields, the header has 4" in line
+    assert not (out / "trajectories.svg").exists()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajdiag as td
-from trajdiag.acsim import log_grid, sweep
+from trajdiag.acsim import ResponseCurve, log_grid, sweep
 from trajdiag.errors import ConfigError
 from trajdiag.faultlib import (
     FaultConfig,
@@ -20,7 +21,7 @@ from trajdiag.faultlib import (
 from trajdiag.netlist import parse_netlist
 
 from conftest import ONE_POLE_RC, ORACLE_VECTOR
-from oracle_utils import random_rlc_vcvs_netlist, reference_gains
+from oracle_utils import random_rlc_vcvs_netlist, reference_dictionary_csv, reference_gains
 
 
 def test_default_grid_enumeration(biquad_faults):
@@ -251,10 +252,50 @@ def test_off_grid_evaluate_at_matches_direct_solve(seed, pick, deviation, omegas
 def test_dictionary_entry_mismatch_rejected(biquad, biquad_faults):
     grid = log_grid(0.1, 10.0, 3)
     dictionary = build_dictionary(biquad, biquad_faults, grid)
-    entries = dict(dictionary.entries)
-    entries.pop(FaultSpec("R1", -0.4))
-    with pytest.raises(ValueError, match="do not match"):
-        FaultDictionary(dictionary.golden, entries, biquad_faults)
+    rebuilt = FaultDictionary(biquad_faults, dictionary.frequencies, dictionary.magnitudes_db)
+    assert rebuilt == dictionary
+    for magnitudes in (dictionary.magnitudes_db[:-1], dictionary.magnitudes_db[:, :2]):
+        with pytest.raises(ValueError, match="do not match"):
+            FaultDictionary(biquad_faults, dictionary.frequencies, magnitudes)
+
+
+def test_dictionary_rejects_unsorted_grid(biquad, biquad_faults):
+    for grid in ([1.0, 1.0], [2.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_dictionary(biquad, biquad_faults, grid)
+
+
+def test_dictionary_views_equal_evaluate_at(biquad, biquad_faults):
+    grid = log_grid(0.01, 100.0, 11)
+    dictionary = build_dictionary(biquad, biquad_faults, grid)
+    assert not dictionary.magnitudes_db.flags.writeable
+    assert not dictionary.frequencies.flags.writeable
+    frequencies = tuple(grid.tolist())
+    assert dictionary.golden == ResponseCurve(frequencies, evaluate_at(biquad, None, grid))
+    entries = dictionary.entries
+    assert tuple(entries) == enumerate_faults(biquad_faults)
+    for spec, curve in entries.items():
+        assert curve == ResponseCurve(frequencies, evaluate_at(biquad, spec, grid)), spec
+
+
+@pytest.mark.parametrize("case", ["biquad", "hz", "ladder"])
+def test_dictionary_csv_matches_per_value_writer(tmp_path, biquad, biquad_faults, case):
+    # the row-at-a-time writer must give the per-value reference's bytes:
+    # the CLI's default biquad grid, a Hz grid relabelled in the freq
+    # column, and a seeded R/C/L + vcvs ladder
+    circuit, config, grid, labels = biquad, biquad_faults, log_grid(0.01, 100.0, 201), None
+    if case == "hz":
+        labels = log_grid(0.01, 10.0, 51)
+        grid = labels * (2.0 * math.pi)
+    elif case == "ladder":
+        circuit = parse_netlist(random_rlc_vcvs_netlist(np.random.default_rng(3)))
+        config = FaultConfig(circuit.passive_ids())
+        grid = log_grid(0.05, 20.0, 101)
+    dictionary = build_dictionary(circuit, config, grid)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_dictionary_csv(got, dictionary, frequencies=labels)
+    reference_dictionary_csv(want, dictionary, frequencies=labels)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_dictionary_csv(tmp_path, biquad):

@@ -9,13 +9,13 @@ from trajdiag.netlist import (
     Circuit,
     Element,
     ElementKind,
-    apply_deviation,
     parse_netlist,
     parse_value,
     render_netlist,
 )
 
 from conftest import ONE_POLE_RC
+from oracle_utils import apply_deviation
 
 
 def test_parse_canonical_one_pole():
