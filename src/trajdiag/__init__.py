@@ -37,7 +37,6 @@ from .netlist import (
 )
 from .trajectory import (
     IncidenceRecord,
-    SignaturePoint,
     TestVector,
     Trajectory,
     build_trajectories,
@@ -65,7 +64,6 @@ __all__ = [
     "IncidenceRecord",
     "NetlistError",
     "ResponseCurve",
-    "SignaturePoint",
     "SimulationError",
     "TestVector",
     "Trajectory",

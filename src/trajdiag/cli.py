@@ -308,7 +308,7 @@ _PALETTE = (
 
 def render_svg(trajectories, query=None) -> str:
     """Static SVG of the 2-D trajectory map; presentation only."""
-    points = [p.coords[:2] for t in trajectories for p in t.points]
+    points = [p for t in trajectories for p in t.points[:, :2].tolist()]
     points.append((0.0, 0.0))
     if query is not None:
         points.append(tuple(query[:2]))
@@ -336,7 +336,7 @@ def render_svg(trajectories, query=None) -> str:
     for index, trajectory in enumerate(trajectories):
         color = _PALETTE[index % len(_PALETTE)]
         coords = " ".join(
-            f"{sx(p.coords[0]):.2f},{sy(p.coords[1]):.2f}" for p in trajectory.points
+            f"{sx(x):.2f},{sy(y):.2f}" for x, y in trajectory.points[:, :2].tolist()
         )
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'

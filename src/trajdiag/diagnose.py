@@ -6,9 +6,12 @@ the segment). The best candidate per trajectory yields one ranked
 hypothesis; a trajectory with no perpendicular-admitting segment falls
 back to its nearest segment endpoint, flagged ``via_perpendicular =
 False``. Feet landing on the shared origin point are never candidates,
-and a query within the origin ball is reported as nominal. The deviation
-estimate interpolates the matched segment's endpoint deviations; it is
-an extension beyond component identification and is labelled as such in
+and a query within the origin ball is reported as nominal. A segment of
+zero length (a repeated point, as when a component has no effect at the
+test frequencies) is skipped; its point is also the end of a segment
+that has length, so no candidate is lost. The deviation estimate
+interpolates the matched segment's endpoint deviations; it is an
+extension beyond component identification and is labelled as such in
 reports.
 """
 
@@ -26,10 +29,6 @@ class ProjectionResult(NamedTuple):
     has_perpendicular: bool
 
 
-def _coords(obj):
-    return np.asarray(getattr(obj, "coords", obj), dtype=float)
-
-
 def project(point, segment) -> ProjectionResult:
     """Orthogonal projection of ``point`` onto a segment.
 
@@ -37,9 +36,9 @@ def project(point, segment) -> ProjectionResult:
     ``has_perpendicular`` tells whether the unclamped foot lies inside;
     ``distance`` is Euclidean distance to the clamped foot.
     """
-    p = _coords(point)
-    a = _coords(segment[0])
-    b = _coords(segment[1])
+    p = np.asarray(point, dtype=float)
+    a = np.asarray(segment[0], dtype=float)
+    b = np.asarray(segment[1], dtype=float)
     d = b - a
     length_sq = float(d @ d)
     if length_sq == 0.0:
@@ -81,7 +80,7 @@ def classify(
     if len(dims) != 1:
         raise ValueError("trajectories have mixed dimensions")
     n = dims.pop()
-    query = _coords(point)
+    query = np.asarray(point, dtype=float)
     if query.shape != (n,):
         raise ValueError(
             f"query dimension {query.shape} does not match trajectories ({n})"
@@ -91,20 +90,23 @@ def classify(
 
     hypotheses = []
     for trajectory in trajectories:
+        points, deviations = trajectory.points, trajectory.deviations.tolist()
+        steps = np.diff(points, axis=0)
         perpendicular: list[Hypothesis] = []
         fallback: list[Hypothesis] = []
-        for index, (start, end) in enumerate(trajectory.segments):
-            a = np.asarray(start.coords)
-            d = np.asarray(end.coords) - a
-            result = project(query, (start, end))
-            foot = a + result.t * d
+        for index, length_sq in enumerate(np.einsum("ij,ij->i", steps, steps).tolist()):
+            if length_sq == 0.0:
+                continue  # a repeated point: its neighbouring segments end there
+            a = points[index]
+            result = project(query, (a, points[index + 1]))
+            foot = a + result.t * steps[index]
             if float(np.sqrt(foot @ foot)) <= origin_tol:
                 continue  # the shared golden point is not evidence
-            deviation = start.deviation + result.t * (end.deviation - start.deviation)
+            start, end = deviations[index], deviations[index + 1]
             hypothesis = Hypothesis(
                 trajectory.component,
                 result.distance,
-                deviation,
+                start + result.t * (end - start),
                 index,
                 result.has_perpendicular,
             )

@@ -6,9 +6,11 @@ and per-individual single-gene uniform mutation. Genes are log10
 frequencies so mutation explores the band evenly. The best-so-far
 individual is tracked outside the population (no elitism inside it).
 
-A run memoizes fitness by genes; unseen individuals share ensemble
-solves of ``_SOLVE_FREQUENCIES`` frequencies, each followed by one
-vectorized, count-only incidence pass.
+A run memoizes intersection counts by genes (``None`` for a vector the
+solver fails on, which scores 0.0) and takes every fitness, and the
+best vector's count in the log, from that memo. Unseen individuals share
+ensemble solves of ``_SOLVE_FREQUENCIES`` frequencies, each followed by
+one vectorized, count-only incidence pass.
 
 Reproducibility: the run seed feeds a SeedSequence that spawns one
 child stream per generation; all stochastic draws happen on that
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, SimulationError
 from .faultlib import FaultConfig
 from .netlist import Circuit
-from .trajectory import TestVector, build_trajectories, count_intersections, intersection_counts
+from .trajectory import TestVector, intersection_counts
 
 logger = logging.getLogger(__name__)
 
@@ -112,20 +114,24 @@ def fitness_from_intersections(intersections: int) -> float:
     return 1.0 / (intersections + 1)
 
 
-def _score(vectors, circuit, config, tol, origin_tol) -> list[float]:
-    """Fitness of equal-length test vectors from one ensemble solve.
+def _counts(vectors, circuit, config, tol, origin_tol) -> list[int | None]:
+    """Intersection counts of equal-length test vectors from one ensemble solve.
 
-    When the solve fails, the vectors are rescored one by one, so only a
-    failing vector scores 0.0; the event is logged.
+    When the solve fails, the vectors are recounted one by one, so only a
+    failing vector gets ``None`` (fitness 0.0); the event is logged.
     """
     try:
         counts = intersection_counts(circuit, config, vectors, tol, origin_tol)
     except SimulationError as exc:
         if len(vectors) > 1:
-            return [_score([tv], circuit, config, tol, origin_tol)[0] for tv in vectors]
+            return [_counts([tv], circuit, config, tol, origin_tol)[0] for tv in vectors]
         logger.warning("fitness=0 for %s: %s", vectors[0].frequencies, exc)
-        return [0.0]
-    return [fitness_from_intersections(int(count)) for count in counts]
+        return [None]
+    return counts.tolist()
+
+
+def _fitness(count: int | None) -> float:
+    return 0.0 if count is None else fitness_from_intersections(count)
 
 
 def fitness(
@@ -140,7 +146,7 @@ def fitness(
     A vector the solver cannot evaluate scores 0.0 so the search keeps
     going; the event is logged.
     """
-    return _score([tv], circuit, config, tol, origin_tol)[0]
+    return _fitness(_counts([tv], circuit, config, tol, origin_tol)[0])
 
 
 def _roulette(fitnesses, size: int):
@@ -222,16 +228,16 @@ def run_ga(
 
     Returns the best-so-far vector and the full per-generation log.
     """
-    memo: dict[tuple[float, ...], float] = {}
+    memo: dict[tuple[float, ...], int | None] = {}
     per_solve = max(1, _SOLVE_FREQUENCIES // ga_config.n_frequencies)
 
     def evaluate(population, generation) -> list[float]:
         unseen = {c.genes: c.decode() for c in population if c.genes not in memo}
         keys, vectors = list(unseen), list(unseen.values())
         for k in range(0, len(keys), per_solve):
-            scores = _score(vectors[k : k + per_solve], circuit, fault_config, tol, origin_tol)
-            memo.update(zip(keys[k : k + per_solve], scores))
-        fitnesses = [memo[c.genes] for c in population]
+            counts = _counts(vectors[k : k + per_solve], circuit, fault_config, tol, origin_tol)
+            memo.update(zip(keys[k : k + per_solve], counts))
+        fitnesses = [_fitness(memo[c.genes]) for c in population]
         logger.debug(
             "generation %d: %d evaluations, %d unique, %d memo hits, %d fitness 0",
             generation, len(population), len(unseen),
@@ -273,13 +279,7 @@ def run_ga(
         )
 
     best_vector = best.decode()
-    if best_fitness > 0.0:
-        intersections, _ = count_intersections(
-            build_trajectories(circuit, fault_config, best_vector), tol, origin_tol
-        )
-    else:
-        intersections = None
-    log = GaLog(tuple(records), best_vector, best_fitness, intersections, ga_config.seed)
+    log = GaLog(tuple(records), best_vector, best_fitness, memo[best.genes], ga_config.seed)
     return best_vector, log
 
 

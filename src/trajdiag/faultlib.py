@@ -216,10 +216,13 @@ def write_dictionary_csv(path, dictionary: FaultDictionary, frequencies=None) ->
     """``component,deviation,freq,mag_db`` rows; golden rows lead.
 
     ``frequencies`` replace the dictionary's in the freq column (the CLI
-    writes the user's unit). Each row of the array is written at once.
+    writes the user's unit); a different count raises ``ValueError``.
+    Each row of the array is written at once.
     """
-    freqs = dictionary.frequencies if frequencies is None else frequencies
-    columns = [f",{f:.17g}," for f in np.asarray(freqs, dtype=float).tolist()]
+    freqs = np.asarray(dictionary.frequencies if frequencies is None else frequencies, float)
+    if freqs.shape != dictionary.frequencies.shape:
+        raise ValueError(f"need {len(dictionary.frequencies)} frequencies, got {freqs.size}")
+    columns = [f",{f:.17g}," for f in freqs.tolist()]
     specs = enumerate_faults(dictionary.config)
     labels = [f"{GOLDEN_LABEL},0", *(f"{s.component},{s.deviation:.17g}" for s in specs)]
     with open(path, "w", newline="") as fh:

@@ -5,7 +5,10 @@ frequencies, so the golden circuit sits exactly at the origin. Sweeping
 one component's deviation across its grid traces a piecewise-linear
 trajectory through the origin; trajectories of different components are
 distinguishable when their segments neither cross nor share pathways
-away from the common origin.
+away from the common origin. A :class:`Trajectory` holds its deviations
+(P,) and points (P, n) as read-only arrays: one target's slice of the
+signature stack that a single ensemble solve produces, and the form that
+counting, classification and the CSV files all read.
 
 Incidence between two segments is decided by their minimum distance
 (closed-form clamped closest-point computation, any dimension) against a
@@ -54,42 +57,40 @@ class TestVector:
             raise ValueError("test frequencies must be positive and finite")
 
 
-@dataclass(frozen=True)
-class SignaturePoint:
-    coords: tuple[float, ...]
-    component: str | None
-    deviation: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One component's signature points, ascending in deviation through 0."""
+    """One component's signature points, ascending in deviation through 0.
+
+    ``deviations`` (P,) and ``points`` (P, n) are read-only float copies of
+    the inputs; row k of ``points`` is the signature at ``deviations[k]``.
+    Two trajectories are equal only when they are the same object.
+    """
 
     component: str
-    points: tuple[SignaturePoint, ...]
+    deviations: np.ndarray
+    points: np.ndarray
 
     def __post_init__(self):
-        devs = [p.deviation for p in self.points]
-        if len(devs) < 2:
+        devs = np.array(self.deviations, dtype=float)
+        points = np.array(self.points, dtype=float)
+        if devs.ndim != 1 or len(devs) < 2:
             raise ValueError("trajectory needs at least two points")
-        if any(b <= a for a, b in zip(devs, devs[1:])):
+        if points.ndim != 2 or len(points) != len(devs):
+            raise ValueError("trajectory needs one point row per deviation")
+        if np.any(devs[1:] <= devs[:-1]):
             raise ValueError("trajectory deviations must strictly increase")
-        zeros = [p for p in self.points if p.deviation == 0.0]
-        if len(zeros) != 1 or any(c != 0.0 for c in zeros[0].coords):
+        at_zero = devs == 0.0
+        if np.count_nonzero(at_zero) != 1 or np.any(points[at_zero] != 0.0):
             raise ValueError("trajectory must contain exactly the origin at deviation 0")
-        dims = {len(p.coords) for p in self.points}
-        if len(dims) != 1:
-            raise ValueError("inconsistent point dimensions")
-        if not all(math.isfinite(x) for p in self.points for x in (p.deviation, *p.coords)):
+        if not (np.isfinite(devs).all() and np.isfinite(points).all()):
             raise ValueError(f"trajectory {self.component}: non-finite deviation or coordinate")
+        devs.flags.writeable = points.flags.writeable = False
+        object.__setattr__(self, "deviations", devs)
+        object.__setattr__(self, "points", points)
 
     @property
     def dimension(self) -> int:
-        return len(self.points[0].coords)
-
-    @property
-    def segments(self) -> tuple[tuple[SignaturePoint, SignaturePoint], ...]:
-        return tuple(zip(self.points, self.points[1:]))
+        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -133,13 +134,7 @@ def build_trajectories(
     stack = _signature_stack(mags, config, len(tv.frequencies))[0]
     grid = sorted(config.deviations() + (0.0,))
     return [
-        Trajectory(
-            component,
-            tuple(
-                SignaturePoint(tuple(coords), component, dev)
-                for coords, dev in zip(points.tolist(), grid)
-            ),
-        )
+        Trajectory(component, grid, points)
         for component, points in zip(config.targets, stack)
     ]
 
@@ -308,7 +303,7 @@ def count_intersections(
     if origin.shape != (n,):
         raise ValueError("origin dimension does not match trajectories")
 
-    points = [np.asarray([p.coords for p in traj.points]) for traj in trajectories]
+    points = [traj.points for traj in trajectories]
     p0 = np.concatenate([pts[:-1] for pts in points])
     p1 = np.concatenate([pts[1:] for pts in points])
     segments = tuple(len(pts) - 1 for pts in points)
@@ -364,9 +359,9 @@ def write_trajectories_csv(path, trajectories) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for traj in trajectories:
-            for point in traj.points:
-                coords = ",".join(f"{c:.17g}" for c in point.coords)
-                fh.write(f"{traj.component},{point.deviation:.17g},{coords}\n")
+            for deviation, coords in zip(traj.deviations.tolist(), traj.points.tolist()):
+                coords = ",".join(f"{c:.17g}" for c in coords)
+                fh.write(f"{traj.component},{deviation:.17g},{coords}\n")
 
 
 def read_trajectories_csv(path) -> list[Trajectory]:
@@ -377,17 +372,13 @@ def read_trajectories_csv(path) -> list[Trajectory]:
     if len(lines) < 2:
         raise ValueError(f"{path}: no trajectory data")
     width = len(lines[0].split(","))
-    grouped: dict[str, list[SignaturePoint]] = {}
+    grouped: dict[str, list[list[float]]] = {}
     for line in lines[1:]:
         fields = line.split(",")
         if len(fields) != width:
             raise ValueError(f"{path}: a row has {len(fields)} fields, the header has {width}")
-        component, deviation = fields[0], float(fields[1])
-        coords = tuple(float(x) for x in fields[2:])
-        grouped.setdefault(component, []).append(
-            SignaturePoint(coords, component, deviation)
-        )
+        grouped.setdefault(fields[0], []).append([float(x) for x in fields[1:]])
     return [
-        Trajectory(component, tuple(points)) for component, points in grouped.items()
+        Trajectory(component, [row[0] for row in rows], [row[1:] for row in rows])
+        for component, rows in grouped.items()
     ]
-

@@ -193,11 +193,12 @@ def reference_count(trajectories, tol):
     Records are ``(component_a, segment_a, component_b, segment_b, kind,
     point)`` tuples in the order the package emits them.
     """
-    segments = [
-        (traj.component, index, p.coords, q.coords)
-        for traj in trajectories
-        for index, (p, q) in enumerate(zip(traj.points, traj.points[1:]))
-    ]
+    segments = []
+    for traj in trajectories:
+        points = traj.points.tolist()
+        segments += [
+            (traj.component, index, p, q) for index, (p, q) in enumerate(zip(points, points[1:]))
+        ]
     if not segments:
         return 0, []
     p0 = np.asarray([seg[2] for seg in segments])

@@ -335,6 +335,19 @@ def test_diagnose_inject_round_trip(tmp_path, capsys):
     assert float(rank1[2]) <= 1e-9
 
 
+def test_diagnose_with_a_component_of_no_effect(tmp_path, capsys):
+    # R9 sits across the source, so all its signature points are the
+    # origin and its segments have zero length
+    netlist = tmp_path / "shunt.cir"
+    netlist.write_text("V1 in 0 1\nR9 in 0 1\nR1 in out 1\nC1 out 0 1\n.input V1\n.output out\n")
+    args = ["--netlist", netlist, "--outdir", tmp_path / "out"]
+    assert run(["optimize", *args, "--generations", 2, "--population-size", 8]) == 0
+    assert run(["diagnose", *args, "--inject", "R1:0.2"]) == 0
+    rows = (tmp_path / "out" / "diagnosis.csv").read_text().splitlines()[1:]
+    assert sorted(row.split(",")[1] for row in rows) == ["C1", "R1"]
+    assert "error" not in capsys.readouterr().err
+
+
 def test_diagnose_measured_golden_is_nominal(tmp_path, capsys):
     import trajdiag as td
     from trajdiag.data import biquad_path

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajdiag.diagnose import classify, project
-from trajdiag.faultlib import FaultSpec, enumerate_faults, evaluate_at
+from trajdiag.faultlib import FaultSpec, evaluate_at
 from trajdiag.trajectory import (
-    SignaturePoint,
     TestVector,
     Trajectory,
     build_trajectories,
@@ -19,12 +18,7 @@ from conftest import ORACLE_VECTOR
 
 def make_trajectory(component, pts, devs=None):
     devs = devs or [0.1 * (i + 1) for i in range(len(pts))]
-    points = [SignaturePoint((0.0,) * len(pts[0]), component, 0.0)]
-    points += [
-        SignaturePoint(tuple(float(x) for x in p), component, d)
-        for p, d in zip(pts, devs)
-    ]
-    return Trajectory(component, tuple(points))
+    return Trajectory(component, [0.0, *devs], [(0.0,) * len(pts[0]), *pts])
 
 
 @pytest.fixture(scope="module")
@@ -131,11 +125,9 @@ def test_estimated_deviation_within_segment(biquad_setup):
     for _ in range(25):
         query = rng.normal(size=2) * rng.uniform(0.05, 3.0)
         for hypothesis in classify(query, trajectories).hypotheses:
-            segment = by_component[hypothesis.component].segments[
-                hypothesis.segment_index
-            ]
-            low = min(segment[0].deviation, segment[1].deviation)
-            high = max(segment[0].deviation, segment[1].deviation)
+            index = hypothesis.segment_index
+            deviations = by_component[hypothesis.component].deviations
+            low, high = sorted(deviations[index : index + 2])
             assert low <= hypothesis.estimated_deviation <= high
 
 
@@ -148,10 +140,10 @@ def test_top_hypothesis_is_candidate_set_minimum(biquad_setup):
         best = None
         for trajectory in trajectories:
             perpendicular, fallback = [], []
-            for start, end in trajectory.segments:
+            points = trajectory.points
+            for start, end in zip(points[:-1], points[1:]):
                 projection = project(query, (start, end))
-                a = np.asarray(start.coords)
-                foot = a + projection.t * (np.asarray(end.coords) - a)
+                foot = start + projection.t * (end - start)
                 if float(np.sqrt(foot @ foot)) <= 1e-6:
                     continue
                 bucket = perpendicular if projection.has_perpendicular else fallback
@@ -214,6 +206,24 @@ def test_endpoint_fallback_flagged():
     top = result.hypotheses[0]
     assert not top.via_perpendicular
     assert top.distance == pytest.approx(np.hypot(1.0, 0.5))
+    assert top.estimated_deviation == pytest.approx(0.1)
+
+
+def test_zero_length_segments_are_skipped():
+    # A repeats its point at 0.2, so its segment 1 has no length; every
+    # point of F sits at the origin, like a component with no effect on
+    # the output
+    a = make_trajectory("A", [(1.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    flat = Trajectory("F", [-0.1, 0.0, 0.1], [(0.0, 0.0)] * 3)
+    result = classify((1.5, 0.5), [flat, a])
+    assert [h.component for h in result.hypotheses] == ["A"]
+    top = result.hypotheses[0]
+    assert (top.segment_index, top.via_perpendicular) == (2, True)
+    assert top.distance == pytest.approx(0.5)
+    assert top.estimated_deviation == pytest.approx(0.25)
+    # the repeated point is still reached as a neighbouring segment's end
+    top = classify((1.0, 0.5), [a]).hypotheses[0]
+    assert top.distance == pytest.approx(0.5)
     assert top.estimated_deviation == pytest.approx(0.1)
 
 

@@ -8,7 +8,7 @@ from trajdiag.errors import ConfigError, SimulationError
 from trajdiag.evolve import (
     Chromosome,
     GaConfig,
-    _score,
+    _counts,
     fitness,
     fitness_from_intersections,
     roulette_select,
@@ -16,7 +16,7 @@ from trajdiag.evolve import (
     step_generation,
     write_ga_log_csv,
 )
-from trajdiag.faultlib import FaultEnsemble
+from trajdiag.faultlib import FaultConfig, FaultEnsemble
 from trajdiag.netlist import parse_netlist
 from trajdiag.trajectory import TestVector, build_trajectories, count_intersections
 
@@ -56,10 +56,7 @@ def test_fitness_swap_symmetry(biquad, biquad_faults):
 
 def test_fitness_zero_on_solver_failure(caplog):
     floating = parse_netlist("V1 1 0 1\nR1 1 0 1\nR2 2 3 1\n.input V1\n.output 2")
-    config_targets = ("R1",)
-    from trajdiag.faultlib import FaultConfig
-
-    config = FaultConfig(config_targets, 0.9, 1.1, 0.1)
+    config = FaultConfig(("R1",), 0.9, 1.1, 0.1)
     with caplog.at_level("WARNING"):
         value = fitness(TestVector((1.0, 2.0)), floating, config, 1e-6)
     assert value == 0.0
@@ -217,8 +214,18 @@ def test_run_ga_monotone_and_reproducible(biquad, biquad_faults):
     fits = [record.best_fitness for record in log_a.records]
     assert fits == sorted(fits)
     assert log_a.best_fitness == fits[-1]
-    if log_a.best_intersections is not None:
-        assert log_a.best_fitness == 1.0 / (log_a.best_intersections + 1)
+    recount, _ = count_intersections(build_trajectories(biquad, biquad_faults, best_a), 1e-6)
+    assert log_a.best_intersections == recount
+    assert log_a.best_fitness == 1.0 / (recount + 1)
+
+
+def test_run_ga_without_a_solvable_vector(caplog):
+    floating = parse_netlist("V1 1 0 1\nR1 1 0 1\nR2 2 3 1\n.input V1\n.output 2")
+    config = FaultConfig(("R1",), 0.9, 1.1, 0.1)
+    with caplog.at_level("WARNING"):
+        _, log = run_ga(floating, config, GaConfig(population_size=4, generations=1))
+    assert log.best_fitness == 0.0
+    assert log.best_intersections is None
 
 
 def test_run_ga_respects_bounds(biquad, biquad_faults):
@@ -260,9 +267,9 @@ def test_batched_scores_equal_single_vector_fitness(biquad, biquad_faults):
             TestVector(tuple((10.0 ** rng.uniform(-2.0, 2.0, n)).tolist()))
             for _ in range(11)
         ]
-        batched = _score(vectors, biquad, biquad_faults, 1e-6, None)
+        batched = _counts(vectors, biquad, biquad_faults, 1e-6, None)
         single = [fitness(tv, biquad, biquad_faults, 1e-6) for tv in vectors]
-        assert batched == single
+        assert [fitness_from_intersections(count) for count in batched] == single
 
 
 def test_batch_failure_scores_only_the_failing_vector(
@@ -281,9 +288,10 @@ def test_batch_failure_scores_only_the_failing_vector(
 
     monkeypatch.setattr(FaultEnsemble, "magnitudes", failing_at_bad)
     with caplog.at_level("WARNING"):
-        scores = _score(vectors, biquad, biquad_faults, 1e-6, None)
-    assert scores[2] == 0.0
-    assert scores[:2] + scores[3:] == expected[:2] + expected[3:]
+        counts = _counts(vectors, biquad, biquad_faults, 1e-6, None)
+    assert counts[2] is None
+    scores = [fitness_from_intersections(count) for count in counts[:2] + counts[3:]]
+    assert scores == expected[:2] + expected[3:]
     warnings = [m for m in caplog.messages if "fitness=0" in m]
     assert len(warnings) == 1 and str(bad) in warnings[0]
 

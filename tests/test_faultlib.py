@@ -20,7 +20,7 @@ from trajdiag.faultlib import (
 )
 from trajdiag.netlist import parse_netlist
 
-from conftest import ONE_POLE_RC, ORACLE_VECTOR
+from conftest import ORACLE_VECTOR
 from oracle_utils import random_rlc_vcvs_netlist, reference_dictionary_csv, reference_gains
 
 
@@ -309,6 +309,17 @@ def test_dictionary_csv(tmp_path, biquad):
     assert lines[1].startswith("__golden__,0,")
     groups = {tuple(line.split(",")[:2]) for line in lines[1:]}
     assert len(groups) == 5
+
+
+@pytest.mark.parametrize("count", [1, 2, 4, 5])
+def test_dictionary_csv_rejects_other_frequency_counts(tmp_path, biquad, count):
+    config = FaultConfig(("R1", "C1"), range_low=0.9, range_high=1.1, step=0.1)
+    dictionary = build_dictionary(biquad, config, log_grid(0.1, 10.0, 3))
+    path = tmp_path / "dictionary.csv"
+    with pytest.raises(ValueError, match=f"need 3 frequencies, got {count}"):
+        write_dictionary_csv(path, dictionary, frequencies=[1.0] * count)
+    write_dictionary_csv(path, dictionary, frequencies=[1.0, 2.0, 3.0])
+    assert len(path.read_text().splitlines()) == 1 + (1 + 4) * 3
 
 
 def test_ensemble_matches_single_path(biquad, biquad_faults):

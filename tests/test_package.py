@@ -1,5 +1,5 @@
-"""Static checks on the package source; no linter is installed, so the
-suite does the one lint rule the package keeps: no unused imports."""
+"""Static checks on the package and test source; no linter is installed,
+so the suite does the one lint rule the project keeps: no unused imports."""
 
 import ast
 from pathlib import Path
@@ -8,14 +8,19 @@ import pytest
 
 import trajdiag
 
+TESTS = Path(__file__).parent
 MODULES = sorted(
     path
     for path in Path(trajdiag.__file__).parent.rglob("*.py")
     if path.name != "__init__.py"
-)
+) + sorted(TESTS.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def _module_id(path):
+    return f"tests/{path.name}" if path.parent == TESTS else path.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     imported = {}

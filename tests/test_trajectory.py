@@ -9,7 +9,6 @@ from trajdiag.faultlib import FaultConfig, enumerate_faults, evaluate_at
 from trajdiag.trajectory import (
     CROSS,
     OVERLAP,
-    SignaturePoint,
     TestVector,
     Trajectory,
     build_trajectories,
@@ -30,12 +29,16 @@ def make_trajectory(component, pts, devs=None):
     ``pts`` are the points after the origin (positive deviations).
     """
     devs = devs or [0.1 * (i + 1) for i in range(len(pts))]
-    points = [SignaturePoint((0.0,) * len(pts[0]), component, 0.0)]
-    points += [
-        SignaturePoint(tuple(float(x) for x in p), component, d)
-        for p, d in zip(pts, devs)
-    ]
-    return Trajectory(component, tuple(points))
+    return Trajectory(component, [0.0, *devs], [(0.0,) * len(pts[0]), *pts])
+
+
+def assert_read_only(trajectory):
+    for array in (trajectory.deviations, trajectory.points):
+        assert array.dtype == np.float64 and not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        trajectory.points[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        trajectory.deviations[0] = 1.0
 
 
 # ---------------------------------------------------------------- signature
@@ -75,20 +78,19 @@ def test_build_trajectories_default(biquad, biquad_faults):
     trajectories = build_trajectories(biquad, biquad_faults, TestVector((0.4, 1.7)))
     assert len(trajectories) == 7
     for trajectory in trajectories:
-        assert len(trajectory.points) == 9  # 8 faulty + origin
-        assert len(trajectory.segments) == 8
-        devs = [p.deviation for p in trajectory.points]
-        assert devs == sorted(devs)
-        origin = [p for p in trajectory.points if p.deviation == 0.0][0]
-        assert origin.coords == (0.0, 0.0)
+        assert trajectory.points.shape == (9, 2)  # 8 faulty + origin
+        assert trajectory.deviations.tolist() == sorted(biquad_faults.deviations() + (0.0,))
+        origin = trajectory.points[trajectory.deviations == 0.0]
+        assert origin.tolist() == [[0.0, 0.0]]
+        assert_read_only(trajectory)
 
 
 def test_build_trajectories_small_grid(biquad):
     config = FaultConfig(("R1", "C2"), range_low=0.9, range_high=1.1, step=0.1)
     trajectories = build_trajectories(biquad, config, TestVector((0.4, 1.7)))
     assert [t.component for t in trajectories] == ["R1", "C2"]
-    assert all(len(t.points) == 3 for t in trajectories)
-    assert all(len(t.segments) == 2 for t in trajectories)
+    assert all(t.points.shape == (3, 2) for t in trajectories)
+    assert all(t.deviations.tolist() == [-0.1, 0.0, 0.1] for t in trajectories)
 
 
 def test_build_matches_evaluate_plus_signature(biquad, biquad_faults):
@@ -99,12 +101,9 @@ def test_build_matches_evaluate_plus_signature(biquad, biquad_faults):
     for spec in enumerate_faults(biquad_faults)[::11]:
         faulty = evaluate_at(biquad, spec, tv.frequencies)
         expected = signature(golden, faulty)
-        point = next(
-            p
-            for p in by_component[spec.component].points
-            if p.deviation == spec.deviation
-        )
-        assert np.max(np.abs(np.subtract(point.coords, expected))) <= 1e-12
+        trajectory = by_component[spec.component]
+        (row,) = np.flatnonzero(trajectory.deviations == spec.deviation)
+        assert np.max(np.abs(trajectory.points[row] - expected)) <= 1e-12
 
 
 def test_degenerate_vector_flagged(biquad, biquad_faults):
@@ -114,30 +113,28 @@ def test_degenerate_vector_flagged(biquad, biquad_faults):
 
 
 def test_trajectory_invariants():
-    with pytest.raises(ValueError, match="strictly increase"):
-        Trajectory(
-            "R1",
-            (
-                SignaturePoint((0.0,), "R1", 0.0),
-                SignaturePoint((1.0,), "R1", 0.0),
-            ),
-        )
-    with pytest.raises(ValueError, match="origin"):
-        Trajectory(
-            "R1",
-            (
-                SignaturePoint((0.1,), "R1", 0.0),
-                SignaturePoint((1.0,), "R1", 0.1),
-            ),
-        )
-    with pytest.raises(ValueError, match="origin"):
-        Trajectory(
-            "R1",
-            (
-                SignaturePoint((1.0,), "R1", -0.1),
-                SignaturePoint((2.0,), "R1", 0.1),
-            ),
-        )
+    cases = [
+        ([0.0], [(0.0,)], "at least two points"),
+        ([[0.0, 0.1]], [(0.0,), (1.0,)], "at least two points"),
+        ([0.0, 0.1], [(0.0,)], "one point row per deviation"),
+        ([0.0, 0.1], [0.0, 1.0], "one point row per deviation"),
+        ([0.0, 0.0], [(0.0,), (1.0,)], "strictly increase"),
+        ([-0.1, 0.0, 0.0], [(1.0,), (0.0,), (0.0,)], "strictly increase"),
+        ([0.0, 0.1], [(0.1,), (1.0,)], "origin"),
+        ([-0.1, 0.1], [(1.0,), (2.0,)], "origin"),
+    ]
+    for deviations, points, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Trajectory("R1", deviations, points)
+
+
+def test_trajectory_copies_its_inputs():
+    deviations, points = np.array([0.0, 0.1]), np.array([[0.0, 0.0], [1.0, 2.0]])
+    trajectory = Trajectory("R1", deviations, points)
+    deviations[1], points[1, 0] = 0.2, 5.0
+    assert trajectory.deviations.tolist() == [0.0, 0.1]
+    assert trajectory.points.tolist() == [[0.0, 0.0], [1.0, 2.0]]
+    assert_read_only(trajectory)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -241,17 +238,10 @@ def test_translation_invariance():
     # translated trajectories no longer satisfy the origin-at-zero type
     # invariant, so they are built without validation on purpose
     def translated(trajectory):
-        pts = [
-            SignaturePoint(
-                tuple((np.asarray(p.coords) + shift).tolist()),
-                p.component,
-                p.deviation,
-            )
-            for p in trajectory.points
-        ]
         obj = object.__new__(Trajectory)
         object.__setattr__(obj, "component", trajectory.component)
-        object.__setattr__(obj, "points", tuple(pts))
+        object.__setattr__(obj, "deviations", trajectory.deviations)
+        object.__setattr__(obj, "points", trajectory.points + shift)
         return obj
 
     moved = [translated(a), translated(b)]
@@ -450,15 +440,9 @@ def _lattice_trajectory(draw, name, dim):
     point = st.tuples(*[st.integers(-3, 3).map(float)] * dim)
     below = draw(st.lists(point, max_size=2))
     above = draw(st.lists(point, min_size=1, max_size=3))
-    origin = SignaturePoint((0.0,) * dim, name, 0.0)
-    return Trajectory(
-        name,
-        tuple(
-            SignaturePoint(p, name, -0.1 * (len(below) - k)) for k, p in enumerate(below)
-        )
-        + (origin,)
-        + tuple(SignaturePoint(p, name, 0.1 * (k + 1)) for k, p in enumerate(above)),
-    )
+    deviations = [-0.1 * (len(below) - k) for k in range(len(below))]
+    deviations += [0.0] + [0.1 * (k + 1) for k in range(len(above))]
+    return Trajectory(name, deviations, [*below, (0.0,) * dim, *above])
 
 
 @st.composite
@@ -507,11 +491,7 @@ def test_record_set_symmetric(trajectories):
 def _reversed(trajectory):
     """The same polyline walked backwards: every segment's endpoints swap."""
     return Trajectory(
-        trajectory.component,
-        tuple(
-            SignaturePoint(p.coords, p.component, -p.deviation)
-            for p in reversed(trajectory.points)
-        ),
+        trajectory.component, -trajectory.deviations[::-1], trajectory.points[::-1]
     )
 
 
@@ -540,7 +520,10 @@ def test_trajectories_csv_round_trip(tmp_path, biquad, biquad_faults):
     loaded = read_trajectories_csv(path)
     assert [t.component for t in loaded] == [t.component for t in trajectories]
     for got, want in zip(loaded, trajectories):
-        assert got.points == want.points  # %.17g round-trips doubles exactly
+        # %.17g round-trips doubles exactly
+        assert np.array_equal(got.deviations, want.deviations)
+        assert np.array_equal(got.points, want.points)
+        assert_read_only(got)
 
 
 def test_read_trajectories_csv_empty(tmp_path):
