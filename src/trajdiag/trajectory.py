@@ -372,6 +372,8 @@ def read_trajectories_csv(path) -> list[Trajectory]:
     if len(lines) < 2:
         raise ValueError(f"{path}: no trajectory data")
     width = len(lines[0].split(","))
+    if width < 2:
+        raise ValueError(f"{path}: the header needs component and deviation columns")
     grouped: dict[str, list[list[float]]] = {}
     for line in lines[1:]:
         fields = line.split(",")

@@ -498,6 +498,14 @@ def test_plot_data_empty_input(tmp_path, capsys):
     assert run(["plot-data", "--outdir", out]) == 2
 
 
+def test_plot_data_one_column_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trajectories.csv").write_text("component\nR1\nR1\n")
+    assert run(["plot-data", "--outdir", out]) == 2
+    assert "component and deviation columns" in capsys.readouterr().err
+
+
 def test_plot_data_one_frequency_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     args = ["--outdir", out, "--n-frequencies", 1, "--generations", 1, "--population-size", 8]
