@@ -16,6 +16,7 @@ can be overridden by a flag of the same name. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -399,7 +400,10 @@ def cmd_plot_data(config: RunConfig, query: str | None) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each ``parse_args`` returns a
+    fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="trajdiag",
         description="Analog fault diagnosis via signature-space fault trajectories.",

@@ -35,10 +35,11 @@ logger = logging.getLogger(__name__)
 
 # Frequencies per ensemble solve while scoring a generation: 16 vectors at
 # n = 2. The solve is one golden LU per frequency and a few KB; the incidence
-# pass's (vectors x segment pairs) box-test temporaries set the GA's peak
-# memory. Max RSS over 11 in-process biquad runs (population 128, 1
-# generation, numpy 2.4.6, 2-core x86 VM) by chunk size: 8 and 32 both
-# 38.9-39.1 MB, 64 40.3 MB, 128 42.0 MB.
+# pass's (vectors x segments x segments) box-test matrix and its
+# closest-point rows set the GA's peak memory. Max RSS over 11 in-process
+# biquad runs (population 128, 1 generation, numpy 2.4.6, 2-core x86 VM) by
+# chunk size: 8 and 32 both 37.7-37.8 MB, 64 38.2 MB, 128 39.1-39.2 MB.
+# One run took 57.7, 29.3, 23.4 and 18.2 ms at those sizes.
 _SOLVE_FREQUENCIES = 32
 
 

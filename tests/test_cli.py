@@ -161,6 +161,22 @@ def test_missing_config_file():
         load_config("/nonexistent/config.json", {})
 
 
+def test_parser_is_built_once(tmp_path):
+    assert trajdiag.cli._build_parser() is trajdiag.cli._build_parser()
+    assert run(["simulate", "--outdir", tmp_path / "a", "--grid", 5]) == 0
+    plant_best_vector(tmp_path / "b", ORACLE_VECTOR)
+    assert run(["diagnose", "--outdir", tmp_path / "b", "--inject", "R1:0.2"]) == 0
+    # the first call's flags do not carry over
+    assert run(["simulate", "--outdir", tmp_path / "c"]) == 0
+    rows = [
+        len((tmp_path / d / "dictionary.csv").read_text().splitlines()) for d in "ac"
+    ]
+    assert rows[1] - 1 == (rows[0] - 1) * 201 // 5
+    with pytest.raises(SystemExit) as excinfo:
+        run(["simulate", "--no-such-flag"])
+    assert excinfo.value.code == 2
+
+
 # ---------------------------------------------------------------- simulate
 
 

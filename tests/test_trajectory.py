@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajdiag import trajectory
 from trajdiag.faultlib import FaultConfig, enumerate_faults, evaluate_at
 from trajdiag.trajectory import (
     CROSS,
@@ -249,6 +250,15 @@ def test_translation_invariance():
     assert count == base
 
 
+@pytest.mark.parametrize(
+    "origin", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)]
+)
+def test_non_finite_origin_rejected(biquad, biquad_faults, origin):
+    trajectories = build_trajectories(biquad, biquad_faults, TestVector((0.4, 1.7)))
+    with pytest.raises(ValueError, match="origin must be finite"):
+        count_intersections(trajectories, 1e-6, origin=origin)
+
+
 def test_mixed_dimension_rejected():
     a = make_trajectory("A", [(1.0, 1.0)])
     b = make_trajectory("B", [(1.0, 0.0, 0.0)])
@@ -397,6 +407,81 @@ def test_shared_endpoint_cross_is_at_that_endpoint(biquad, biquad_faults):
     tv = TestVector((46.376219227163986, 49.7365531917399))
     assert intersection_counts(biquad, biquad_faults, [tv])[0] == 0
     assert assert_matches_reference(build_trajectories(biquad, biquad_faults, tv)) == 0
+
+
+# ------------------------------------------------- shared-origin shortcut
+
+
+def count_on_full_path(trajectories):
+    """count_intersections with no pair marked shared, so every pair that
+    passes the box test reaches the closest-point test."""
+    cross_pairs = trajectory._cross_pairs
+
+    def nothing_shared(segments, origins):
+        first, second, shared, flat = cross_pairs(segments, origins)
+        return first, second, np.zeros_like(shared), flat
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trajectory, "_cross_pairs", nothing_shared)
+        return count_intersections(trajectories, 1e-6)
+
+
+def assert_shortcut_matches(trajectories):
+    """Same count and records (points bit for bit) with and without the
+    shared-origin shortcut, and the same as the scalar reference."""
+    count, records = count_intersections(trajectories, 1e-6)
+    assert (count, records) == count_on_full_path(trajectories)
+    assert assert_matches_reference(trajectories) == count
+    return count
+
+
+def _rotated(angle, length=1.0):
+    return (length * math.cos(angle), length * math.sin(angle))
+
+
+@pytest.mark.parametrize(
+    "a,b,expected",
+    [
+        # collinear overlaps of two origin-adjacent segments, counted: both
+        # leaving the origin, and one arriving at it while the other leaves
+        (([0.0, 0.1], [(0.0, 0.0), (1.0, 0.0)]), ([0.0, 0.1], [(0.0, 0.0), (2.0, 0.0)]), 1),
+        (([-0.1, 0.0], [(1.0, 1.0), (0.0, 0.0)]), ([0.0, 0.1], [(0.0, 0.0), (2.0, 2.0)]), 1),
+        # 1e-7 rad apart is parallel to the closest-point test (sin^2 <= 1e-12):
+        # an overlap, counted
+        (([0.0, 0.1], [(0.0, 0.0), (1.0, 0.0)]), ([0.0, 0.1], [(0.0, 0.0), _rotated(1e-7)]), 1),
+        # 1e-5 rad apart passes the looser pre-test, then meets only at the
+        # origin; 1e-3 rad apart is dropped by the pre-test itself
+        (([0.0, 0.1], [(0.0, 0.0), (1.0, 0.0)]), ([0.0, 0.1], [(0.0, 0.0), _rotated(1e-5)]), 0),
+        (([0.0, 0.1], [(0.0, 0.0), (1.0, 0.0)]), ([0.0, 0.1], [(0.0, 0.0), _rotated(1e-3)]), 0),
+        # a zero-length origin-adjacent segment, then an overlap off it
+        (
+            ([-0.1, 0.0, 0.1], [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]),
+            ([0.0, 0.1], [(0.0, 0.0), (2.0, 0.0)]),
+            1,
+        ),
+        (
+            ([0.0, 0.1, 0.2], [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]),
+            ([-0.1, 0.0], [(0.0, 0.0), (0.0, 0.0)]),
+            0,
+        ),
+    ],
+)
+def test_shortcut_constructed_configurations(a, b, expected):
+    a, b = Trajectory("A", *a), Trajectory("B", *b)
+    assert assert_shortcut_matches([a, b]) == expected
+    assert assert_shortcut_matches([b, a]) == expected
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    )
+)
+def test_shortcut_matches_full_path_on_random_vectors(biquad, biquad_faults, exponents):
+    tv = TestVector(tuple(10.0**e for e in exponents))
+    count = assert_shortcut_matches(build_trajectories(biquad, biquad_faults, tv))
+    assert intersection_counts(biquad, biquad_faults, [tv])[0] == count
 
 
 @pytest.mark.parametrize(
