@@ -10,7 +10,8 @@ Subcommands::
 
 Settings come from an optional JSON config file (--config); every field
 can be overridden by a flag of the same name. Exit codes: 0 success,
-1 pipeline/numeric failure, 2 usage or configuration error.
+1 pipeline/numeric failure (including a non-finite diagnosis ranking and
+running out of memory), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ from .trajectory import (
 )
 
 _UNITS = {"rad/s": 1.0, "hz": 2.0 * math.pi}
+
+# Largest |dB| accepted from --measured. Every positive float64 magnitude
+# lies within about +-6500 dB (20 log10 of the largest and smallest
+# doubles), so no measurement lies beyond this, and signatures within it
+# cannot overflow the diagnosis's squared distances.
+_MEASURED_LIMIT_DB = 1e4
 
 
 @dataclass
@@ -275,6 +282,8 @@ def cmd_diagnose(config: RunConfig, measured: str | None, inject: str | None) ->
             )
         if not all(map(math.isfinite, values)):
             raise ConfigError("--measured: values must be finite")
+        if any(abs(v) > _MEASURED_LIMIT_DB for v in values):
+            raise ConfigError(f"--measured: values must lie within +-{_MEASURED_LIMIT_DB:g} dB")
         query = signature(golden, values)
     else:
         component, _, amount = inject.partition(":")
@@ -295,6 +304,11 @@ def cmd_diagnose(config: RunConfig, measured: str | None, inject: str | None) ->
         ambiguity_margin=config.ambiguity_margin,
         origin_tol=config.origin_tol,
     )
+    if not all(
+        math.isfinite(h.distance) and math.isfinite(h.estimated_deviation)
+        for h in result.hypotheses
+    ):
+        raise TrajdiagError("diagnose: the ranking is not finite")
     out = _outdir(config)
     write_diagnosis_csv(out / "diagnosis.csv", result)
     print(format_report(result), end="")
@@ -447,6 +461,9 @@ def main(argv=None) -> int:
         return 2
     except (TrajdiagError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: out of memory running '{args.command}'", file=sys.stderr)
         return 1
 
 

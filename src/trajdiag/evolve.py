@@ -8,9 +8,10 @@ individual is tracked outside the population (no elitism inside it).
 
 A run memoizes intersection counts by genes (``None`` for a vector the
 solver fails on, which scores 0.0) and takes every fitness, and the
-best vector's count in the log, from that memo. Unseen individuals share
-ensemble solves of ``_SOLVE_FREQUENCIES`` frequencies, each followed by
-one vectorized, count-only incidence pass.
+best vector's count in the log, from that memo. A generation's unseen
+individuals are scored in one ``intersection_counts`` call, which solves
+and counts them in blocks of bounded memory; a call that fails is split
+in halves until the failing vectors stand alone.
 
 Reproducibility: the run seed feeds a SeedSequence that spawns one
 child stream per generation; all stochastic draws happen on that
@@ -32,16 +33,6 @@ from .netlist import Circuit
 from .trajectory import TestVector, intersection_counts
 
 logger = logging.getLogger(__name__)
-
-# Frequencies per ensemble solve while scoring a generation: 16 vectors at
-# n = 2. The solve is one golden LU per frequency and a few KB; the incidence
-# pass's (vectors x segments x segments) box-test matrix and its
-# closest-point rows set the GA's peak memory. Max RSS over 11 in-process
-# biquad runs (population 128, 1 generation, numpy 2.4.6, 2-core x86 VM) by
-# chunk size: 8 and 32 both 37.7-37.8 MB, 64 38.2 MB, 128 39.1-39.2 MB.
-# One run took 57.7, 29.3, 23.4 and 18.2 ms at those sizes.
-_SOLVE_FREQUENCIES = 32
-
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -116,16 +107,21 @@ def fitness_from_intersections(intersections: int) -> float:
 
 
 def _counts(vectors, circuit, config, tol, origin_tol) -> list[int | None]:
-    """Intersection counts of equal-length test vectors from one ensemble solve.
+    """Intersection counts of equal-length test vectors from one scoring call.
 
-    When the solve fails, the vectors are recounted one by one, so only a
-    failing vector gets ``None`` (fitness 0.0); the event is logged.
+    When the call fails, each half of the vectors is counted again, and so
+    on down, so only a failing vector gets ``None`` (fitness 0.0) and one
+    bad vector among V costs about 2 log2(V) calls; the event is logged.
     """
     try:
         counts = intersection_counts(circuit, config, vectors, tol, origin_tol)
     except SimulationError as exc:
         if len(vectors) > 1:
-            return [_counts([tv], circuit, config, tol, origin_tol)[0] for tv in vectors]
+            half = len(vectors) // 2
+            return (
+                _counts(vectors[:half], circuit, config, tol, origin_tol)
+                + _counts(vectors[half:], circuit, config, tol, origin_tol)
+            )
         logger.warning("fitness=0 for %s: %s", vectors[0].frequencies, exc)
         return [None]
     return counts.tolist()
@@ -230,14 +226,12 @@ def run_ga(
     Returns the best-so-far vector and the full per-generation log.
     """
     memo: dict[tuple[float, ...], int | None] = {}
-    per_solve = max(1, _SOLVE_FREQUENCIES // ga_config.n_frequencies)
 
     def evaluate(population, generation) -> list[float]:
         unseen = {c.genes: c.decode() for c in population if c.genes not in memo}
-        keys, vectors = list(unseen), list(unseen.values())
-        for k in range(0, len(keys), per_solve):
-            counts = _counts(vectors[k : k + per_solve], circuit, fault_config, tol, origin_tol)
-            memo.update(zip(keys[k : k + per_solve], counts))
+        if unseen:
+            counts = _counts(list(unseen.values()), circuit, fault_config, tol, origin_tol)
+            memo.update(zip(unseen, counts))
         fitnesses = [_fitness(memo[c.genes]) for c in population]
         logger.debug(
             "generation %d: %d evaluations, %d unique, %d memo hits, %d fitness 0",

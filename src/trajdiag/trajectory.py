@@ -23,12 +23,17 @@ construction.
 One numpy kernel serves every counting entry point. Its broad phase
 keeps only the segment pairs whose axis-aligned boxes, grown by twice
 the tolerance, touch on every axis (the box test of sweep-and-prune, run
-as one matrix over all segment pairs). A pair whose segments both end at
+as one boolean matrix over all segment pairs, with a comparison that
+stays conservative under rounding). A pair whose segments both end at
 the golden point meets there unless the two overlap, and that contact
 is discarded, so such a pair goes on only if it could be parallel. The
 closed-form closest-point test then runs on the survivors alone, about
 8% of the 1344 cross-trajectory pairs of a random 2-frequency biquad
 vector (5% at 3 frequencies, 20% at 1, where every pair is collinear).
+:func:`intersection_counts` feeds the kernel blocks of test vectors,
+each one ensemble solve, whose box-test matrices hold at most
+``_BOX_ENTRIES`` entries, so its memory does not grow with the number
+of vectors.
 """
 
 from __future__ import annotations
@@ -44,6 +49,14 @@ from .netlist import Circuit
 
 CROSS = "cross"
 OVERLAP = "overlap"
+
+# Cap on the entries of the (vectors x segments x segments) box-test matrix
+# in one block of intersection_counts: 32 biquad vectors (56 segments) at any
+# number of frequencies. In-process GA runs (biquad, population 128,
+# 1 generation, n = 2; 2-core x86 VM, numpy 2.4.6) took about as long with
+# blocks of 24 to 64 vectors and longer with 16; the tracemalloc peak grows
+# with the block, 1.1 MB at 24 vectors, 1.35 MB at 32 and 2.5 MB at 64.
+_BOX_ENTRIES = 32 * 56 * 56
 
 
 @dataclass(frozen=True)
@@ -115,17 +128,17 @@ def signature(golden_mags, faulty_mags) -> tuple[float, ...]:
     return tuple(float(f) - float(g) for g, f in zip(golden_mags, faulty_mags))
 
 
-def _signature_stack(mags, config: FaultConfig, n: int) -> np.ndarray:
+def _signature_stack(mags, targets: int, n_below: int, n: int) -> np.ndarray:
     """Trajectory points of B test vectors from one ensemble solve.
 
     ``mags`` holds the ensemble magnitudes at the B vectors' frequencies
-    side by side, shape (1 + faults, B * n). Returns (B, targets,
-    deviations + 1, n) golden-relative coordinates, ascending in deviation
-    with the origin inserted at deviation 0.
+    side by side, shape (1 + faults, B * n), with the faults of each of
+    ``targets`` targets ascending in deviation, ``n_below`` of them
+    negative. Returns (B, targets, deviations + 1, n) golden-relative
+    coordinates, ascending in deviation with the origin inserted at
+    deviation 0.
     """
-    grid = config.deviations()
-    n_below = sum(d < 0.0 for d in grid)
-    diffs = (mags[1:] - mags[0]).reshape(len(config.targets), len(grid), -1, n)
+    diffs = (mags[1:] - mags[0]).reshape(targets, -1, mags.shape[1] // n, n)
     return np.insert(diffs.transpose(2, 0, 1, 3), n_below, 0.0, axis=2)
 
 
@@ -134,7 +147,8 @@ def build_trajectories(
 ) -> list[Trajectory]:
     """One trajectory per fault target, sampled at the test frequencies."""
     mags = ensemble_for(circuit, config).magnitudes(np.asarray(tv.frequencies))
-    stack = _signature_stack(mags, config, len(tv.frequencies))[0]
+    n_below = sum(d < 0.0 for d in config.deviations())
+    stack = _signature_stack(mags, len(config.targets), n_below, len(tv.frequencies))[0]
     grid = sorted(config.deviations() + (0.0,))
     return [
         Trajectory(component, grid, points)
@@ -162,8 +176,8 @@ def _cross_pairs(segments: tuple[int, ...], origins: tuple[int, ...]):
     ``segments`` gives each trajectory's segment count and ``origins`` the
     index of its origin point, the row at deviation 0; segments are
     numbered trajectory by trajectory. Returns ``(first, second, shared,
-    flat)``: the pairs, whether both segments of a pair have an endpoint
-    at their trajectory's origin point, and each pair's position
+    flat)``: the pairs, the indices of the pairs whose segments both have
+    an endpoint at their trajectory's origin point, and each pair's position
     ``first * S + second`` in an (S, S) matrix of all S segments. The
     arrays are cached per layout and read-only.
     """
@@ -174,11 +188,38 @@ def _cross_pairs(segments: tuple[int, ...], origins: tuple[int, ...]):
     first, second = np.triu_indices(len(traj_of), 1)
     keep = traj_of[first] != traj_of[second]
     first, second = first[keep], second[keep]
-    shared = at_origin[first] & at_origin[second]
+    shared = np.flatnonzero(at_origin[first] & at_origin[second])
     pairs = first, second, shared, first * len(traj_of) + second
     for array in pairs:
         array.flags.writeable = False
     return pairs
+
+
+def _boxes_touch(p0, p1, flat, tol):
+    """(B, pairs) mask: do the 2 tol-grown boxes of each pair touch on every axis?
+
+    ``p0, p1``: (B, S, n) segment endpoints; ``flat``: the pairs' positions
+    in an (S, S) matrix. A pair closer than ``tol`` has axis-aligned boxes
+    closer than ``tol`` on every axis, so it passes: the test is ``lo <= hi
+    + 2 * tol`` both ways, with the sum rounded. That stays conservative:
+    ``lo`` is a float and rounding is monotone, so ``lo - hi < 2 * tol``
+    exactly gives a rounded sum of at least ``lo``. The comparison must not
+    be strict, since at a tiny ``tol`` the sum rounds to ``hi`` and boxes
+    that touch exactly would be dropped. The test fills one (B, S, S)
+    boolean matrix of all segment pairs axis by axis, with no float
+    temporary of that size, and reads it at ``flat``; the matrix is freed
+    on return, before the closest-point test allocates its rows.
+    """
+    batch_size = p0.shape[0]
+    # axis-major (n, B, S) box bounds; reach is the upper bound grown by 2 tol
+    box_lo = np.moveaxis(np.minimum(p0, p1), -1, 0).copy()
+    box_reach = np.moveaxis(np.maximum(p0, p1) + 2.0 * tol, -1, 0).copy()
+    close = np.less_equal(box_lo[0, :, :, None], box_reach[0, :, None, :])
+    axis = np.empty_like(close)
+    for lo_k, reach_k in zip(box_lo[1:], box_reach[1:]):
+        close &= np.less_equal(lo_k[:, :, None], reach_k[:, None, :], out=axis)
+    close &= close.transpose(0, 2, 1)
+    return close.reshape(batch_size, -1).take(flat, axis=1)
 
 
 def _incidences(p0, p1, pairs, tol, origin_tol=None, origin=0.0):
@@ -194,42 +235,35 @@ def _incidences(p0, p1, pairs, tol, origin_tol=None, origin=0.0):
     ``origin_tol`` set, contacts lying wholly within ``origin_tol`` of
     ``origin`` are dropped.
 
-    A broad phase runs first. A pair closer than ``tol`` has axis-aligned
-    boxes closer than ``tol`` on every axis, so only the pairs whose boxes,
-    grown by ``2 * tol`` (the factor 2 absorbs rounding in ``lo - hi``),
-    touch on every axis go on. The box test runs on one (B, S, S) matrix of
-    all segment pairs, read at the pairs' flat positions. With
-    ``origin_tol`` set and ``origin`` the zero vector, a ``shared`` pair
-    (both segments end at the exact zero point) that does not overlap
-    meets only there, where the origin rule drops it; so such a pair goes
-    on only if it could be parallel, by a bound 1000 times looser than the
-    closest-point test's own. The closest-point test then runs on
-    point-major (K, n) rows of the survivors, with the same arithmetic as
-    a pass over all pairs.
+    A broad phase runs first: only the pairs that pass
+    :func:`_boxes_touch` go on. With ``origin_tol`` set and ``origin`` the
+    zero vector, a ``shared`` pair (both segments end at the exact zero
+    point) that does not overlap meets only there, where the origin rule
+    drops it; so such a pair goes on only if it could be parallel, by a
+    bound 1000 times looser than the closest-point test's own. The closest-point test then runs on
+    point-major (K, n) rows of the survivors, gathered from the flattened
+    (B * S, n) endpoints, with the same arithmetic as a pass over all
+    pairs.
 
     Returns ``(batch, pair, overlap, point)`` of the kept incidences in
     (batch, pair) order; ``overlap`` is False for a cross.
     """
     first, second, shared, flat = pairs
-    batch_size, size = p0.shape[:2]
-    box_lo, box_hi = np.minimum(p0, p1), np.maximum(p0, p1)
-    grow = 2.0 * tol
-    close = np.ones((batch_size, size, size), dtype=bool)
-    for k in range(p0.shape[-1]):
-        close &= box_lo[:, :, None, k] - box_hi[:, None, :, k] < grow
-    close &= close.transpose(0, 2, 1)
-    near = close.reshape(batch_size, -1).take(flat, axis=1)
+    size = p0.shape[1]
+    near = _boxes_touch(p0, p1, flat, tol)
+    step = p1 - p0
     if origin_tol is not None and not np.any(origin):
-        i, j = first[shared], second[shared]
-        u, v = p1[:, i] - p0[:, i], p1[:, j] - p0[:, j]
+        u, v = step.take(first[shared], axis=1), step.take(second[shared], axis=1)
         uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
         parallel = uu * vv - uv * uv <= 1e-9 * uu * vv
         near[:, shared] &= (uu > 0.0) & (vv > 0.0) & parallel
     batch, pair = np.nonzero(near)
 
-    i, j = first[pair], second[pair]
-    a0, b0 = p0[batch, i], p0[batch, j]
-    u, v = p1[batch, i] - a0, p1[batch, j] - b0
+    # gather the survivors' rows from the flattened (B * S, n) endpoints
+    row_i, row_j = batch * size + first[pair], batch * size + second[pair]
+    p0, p1, step = (x.reshape(-1, x.shape[-1]) for x in (p0, p1, step))
+    a0, b0 = p0.take(row_i, axis=0), p0.take(row_j, axis=0)
+    u, v = step.take(row_i, axis=0), step.take(row_j, axis=0)
     uu, vv = _dot(u, u), _dot(v, v)
     r = a0 - b0
     uv, ur, vr = _dot(u, v), _dot(u, r), _dot(v, r)
@@ -243,9 +277,9 @@ def _incidences(p0, p1, pairs, tol, origin_tol=None, origin=0.0):
     diff = r + s[:, None] * u - t[:, None] * v
     hit = np.sqrt(_dot(diff, diff)) < tol
 
-    batch, pair, i, j, a0, b0 = (x[hit] for x in (batch, pair, i, j, a0, b0))
+    batch, pair, row_i, row_j, a0, b0 = (x[hit] for x in (batch, pair, row_i, row_j, a0, b0))
     u, v, uu, vv, s, t, denom = (x[hit] for x in (u, v, uu, vv, s, t, denom))
-    a1, b1 = p1[batch, i], p1[batch, j]
+    a1, b1 = p1.take(row_i, axis=0), p1.take(row_j, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         lo_b = _dot(b0 - a0, u) / uu
         hi_b = _dot(b1 - a0, u) / uu
@@ -362,10 +396,14 @@ def count_intersections(
 def intersection_counts(
     circuit: Circuit, config: FaultConfig, vectors, tol=1e-6, origin_tol=None
 ) -> np.ndarray:
-    """Intersection count of each equal-length test vector, one solve for all.
+    """Intersection count of each equal-length test vector.
 
     Count-only counterpart of ``build_trajectories`` followed by
-    :func:`count_intersections`, with the same results.
+    :func:`count_intersections`, with the same results. The vectors go in
+    blocks whose box-test matrices hold at most ``_BOX_ENTRIES`` entries
+    (one vector at least); each block is one ensemble solve and one
+    incidence pass, so memory does not grow with the number of vectors,
+    and no count depends on the blocking.
     """
     origin_tol = tol if origin_tol is None else origin_tol
     _check_tolerances(tol=tol, origin_tol=origin_tol)
@@ -374,15 +412,22 @@ def intersection_counts(
     n = len(vectors[0].frequencies)
     if any(len(tv.frequencies) != n for tv in vectors):
         raise ValueError("test vectors must all have the same number of frequencies")
-    omegas = np.concatenate([tv.frequencies for tv in vectors])
-    stack = _signature_stack(ensemble_for(circuit, config).magnitudes(omegas), config, n)
-    batch, targets, n_points = stack.shape[:3]
-    p0 = stack[:, :, :-1].reshape(batch, -1, n)
-    p1 = stack[:, :, 1:].reshape(batch, -1, n)
-    n_below = sum(d < 0.0 for d in config.deviations())
-    pairs = _cross_pairs((n_points - 1,) * targets, (n_below,) * targets)
-    hits, _, _, _ = _incidences(p0, p1, pairs, tol, origin_tol)
-    return np.bincount(hits, minlength=batch)
+    omegas = np.array([tv.frequencies for tv in vectors])
+    ensemble = ensemble_for(circuit, config)
+    grid = config.deviations()
+    targets, segments, n_below = len(config.targets), len(grid), sum(d < 0.0 for d in grid)
+    pairs = _cross_pairs((segments,) * targets, (n_below,) * targets)
+    step = max(1, _BOX_ENTRIES // (targets * segments) ** 2)
+    counts = []
+    for start in range(0, len(omegas), step):
+        block = omegas[start : start + step]
+        mags = ensemble.magnitudes(block.ravel())
+        stack = _signature_stack(mags, targets, n_below, n)
+        p0 = stack[:, :, :-1].reshape(len(block), -1, n)
+        p1 = stack[:, :, 1:].reshape(len(block), -1, n)
+        hits = _incidences(p0, p1, pairs, tol, origin_tol)[0]
+        counts.append(np.bincount(hits, minlength=len(block)))
+    return np.concatenate(counts)
 
 
 def write_trajectories_csv(path, trajectories) -> None:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import trajdiag
 import trajdiag.cli
 from trajdiag.cli import RunConfig, load_config, main, render_svg
 from trajdiag.data import biquad_path
+from trajdiag.diagnose import DiagnosisResult, Hypothesis
 from trajdiag.errors import ConfigError
 from trajdiag.trajectory import TestVector, build_trajectories, write_trajectories_csv
 
@@ -413,6 +415,59 @@ def test_diagnose_measured_non_finite(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert "finite" in err and len(err.splitlines()) == 1
     assert not (out / "diagnosis.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "frequencies,value",
+    [
+        (ORACLE_VECTOR, "-1e300,1e300"),
+        (ORACLE_VECTOR[:1], "-1e308"),
+        (ORACLE_VECTOR, f"-9.5,{math.nextafter(trajdiag.cli._MEASURED_LIMIT_DB, math.inf)!r}"),
+    ],
+)
+def test_diagnose_measured_beyond_the_db_limit(tmp_path, capsys, frequencies, value):
+    out = tmp_path / "out"
+    plant_best_vector(out, frequencies)
+    assert run(["diagnose", "--outdir", out, f"--measured={value}"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: --measured: values must lie within +-10000 dB"
+    assert not (out / "diagnosis.csv").exists()
+
+
+def test_diagnose_measured_at_the_db_limit_ranks_finitely(tmp_path, capsys):
+    out = tmp_path / "out"
+    plant_best_vector(out, ORACLE_VECTOR)
+    limit = trajdiag.cli._MEASURED_LIMIT_DB
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["diagnose", "--outdir", out, f"--measured={-limit!r},{limit!r}"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "diagnosis.csv").read_text().splitlines()[1:]
+    assert len(rows) == 7
+    for row in rows:
+        assert all(math.isfinite(float(x)) for x in row.split(",")[2:4])
+
+
+def test_diagnose_non_finite_ranking_exit_1(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    plant_best_vector(out, ORACLE_VECTOR)
+    ranking = DiagnosisResult((Hypothesis("R1", math.inf, 0.1, 0, True),), ambiguous=False)
+    monkeypatch.setattr(trajdiag.cli, "classify", lambda *args, **kwargs: ranking)
+    assert run(["diagnose", "--outdir", out, "--inject", "R3:0.2"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: diagnose: the ranking is not finite"
+    assert not (out / "diagnosis.csv").exists()
+
+
+def test_memory_error_exit_1_without_traceback(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(trajdiag.cli, "run_ga", exhausted)
+    assert run(["optimize", "--outdir", tmp_path / "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory running 'optimize'\n"
+    assert "Traceback" not in captured.out
 
 
 @pytest.mark.parametrize("amount", ["-1", "-1.5", "nan", "inf"])

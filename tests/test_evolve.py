@@ -296,7 +296,41 @@ def test_batch_failure_scores_only_the_failing_vector(
     assert len(warnings) == 1 and str(bad) in warnings[0]
 
 
-def test_run_ga_scores_each_distinct_vector_once(biquad, biquad_faults, monkeypatch):
+def test_batch_failure_bisects_to_the_failing_vector(
+    biquad, biquad_faults, monkeypatch, caplog
+):
+    rng = np.random.default_rng(128)
+    vectors = [
+        TestVector(tuple((10.0 ** rng.uniform(-2.0, 2.0, 2)).tolist())) for _ in range(128)
+    ]
+    bad = vectors[77].frequencies[1]
+    expected = evolve.intersection_counts(biquad, biquad_faults, vectors).tolist()
+    original_magnitudes = FaultEnsemble.magnitudes
+    original_counts = evolve.intersection_counts
+    calls = []
+
+    def failing_at_bad(self, omegas):
+        if bad in np.asarray(omegas):
+            raise SimulationError("injected failure")
+        return original_magnitudes(self, omegas)
+
+    def counting(circuit, fault_config, batch, tol, origin_tol):
+        calls.append(len(batch))
+        return original_counts(circuit, fault_config, batch, tol, origin_tol)
+
+    monkeypatch.setattr(FaultEnsemble, "magnitudes", failing_at_bad)
+    monkeypatch.setattr(evolve, "intersection_counts", counting)
+    with caplog.at_level("WARNING"):
+        counts = _counts(vectors, biquad, biquad_faults, 1e-6, None)
+    assert counts[77] is None
+    assert counts[:77] + counts[78:] == expected[:77] + expected[78:]
+    assert len([m for m in caplog.messages if "fitness=0" in m]) == 1
+    assert calls[0] == 128 and len(calls) <= 2 * 7 + 1
+
+
+def test_run_ga_scores_each_distinct_vector_once(
+    biquad, biquad_faults, monkeypatch, caplog
+):
     config = GaConfig(seed=88, **SMALL)
     _, expected = run_ga(biquad, biquad_faults, config)
     batches = []
@@ -307,11 +341,16 @@ def test_run_ga_scores_each_distinct_vector_once(biquad, biquad_faults, monkeypa
         return original(circuit, fault_config, vectors, tol, origin_tol)
 
     monkeypatch.setattr(evolve, "intersection_counts", recording)
-    _, log = run_ga(biquad, biquad_faults, config)
+    with caplog.at_level(logging.DEBUG, logger="trajdiag.evolve"):
+        _, log = run_ga(biquad, biquad_faults, config)
     assert log == expected
     scored = [freqs for batch in batches for freqs in batch]
     assert len(scored) == len(set(scored))
-    assert all(len(batch) <= evolve._SOLVE_FREQUENCIES // 2 for batch in batches)
+    # one scoring call per generation that has unseen vectors
+    unique = [
+        int(m.split(", ")[1].split()[0]) for m in caplog.messages if m.startswith("generation ")
+    ]
+    assert [len(batch) for batch in batches] == [k for k in unique if k]
 
 
 def test_run_ga_debug_counters(biquad, biquad_faults, caplog):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +410,66 @@ def test_shared_endpoint_cross_is_at_that_endpoint(biquad, biquad_faults):
     assert assert_matches_reference(build_trajectories(biquad, biquad_faults, tv)) == 0
 
 
+def test_boxes_that_touch_exactly_pass_at_a_tiny_tolerance():
+    # At tol = 1e-300, hi + 2 tol rounds to hi, so a box test with a strict
+    # comparison would drop this pair: its segments meet only at the shared
+    # endpoint (2, 1), where the two boxes touch exactly.
+    assert segment_incidence((1.0, 1.0), (2.0, 1.0), (2.0, 1.0), (3.0, 2.0), 1e-300) == (
+        CROSS, (2.0, 1.0),
+    )
+    a = make_trajectory("A", [(1.0, 1.0), (2.0, 1.0)])
+    b = make_trajectory("B", [(3.0, 0.0), (3.0, 2.0), (2.0, 1.0)])
+    count, records = count_intersections([a, b], 1e-300)
+    assert count == 1
+    assert (records[0].segment_a, records[0].segment_b, records[0].point) == (1, 2, (2.0, 1.0))
+
+
+def _random_vectors(seed, n, size):
+    rng = np.random.default_rng(seed)
+    return [
+        TestVector(tuple((10.0 ** rng.uniform(-2.0, 2.0, n)).tolist())) for _ in range(size)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_intersection_counts_independent_of_block_size(
+    biquad, biquad_faults, monkeypatch, n
+):
+    vectors = _random_vectors(7400 + n, n, 100)
+    segments = len(biquad_faults.targets) * len(biquad_faults.deviations())
+    blocks = []
+    incidences = trajectory._incidences
+
+    def recording(p0, *args):
+        blocks.append(len(p0))
+        return incidences(p0, *args)
+
+    monkeypatch.setattr(trajectory, "_incidences", recording)
+    counts = []
+    for size in (1, 7, 32, len(vectors)):
+        monkeypatch.setattr(trajectory, "_BOX_ENTRIES", size * segments**2)
+        blocks.clear()
+        counts.append(intersection_counts(biquad, biquad_faults, vectors))
+        assert max(blocks) == size and sum(blocks) == len(vectors)
+    for other in counts[1:]:
+        np.testing.assert_array_equal(other, counts[0])
+
+
+def test_intersection_counts_memory_does_not_grow_with_vectors(biquad, biquad_faults):
+    # the same 32 vectors 32 times over, so that every block does the same work
+    vectors = _random_vectors(7500, 2, 32)
+    intersection_counts(biquad, biquad_faults, vectors)  # fill the caches
+    peaks = []
+    for batch in (vectors, vectors * 32):
+        tracemalloc.start()
+        try:
+            intersection_counts(biquad, biquad_faults, batch)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 # ------------------------------------------------- shared-origin shortcut
 
 
@@ -419,7 +480,7 @@ def count_on_full_path(trajectories):
 
     def nothing_shared(segments, origins):
         first, second, shared, flat = cross_pairs(segments, origins)
-        return first, second, np.zeros_like(shared), flat
+        return first, second, shared[:0], flat
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trajectory, "_cross_pairs", nothing_shared)
