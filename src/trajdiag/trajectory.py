@@ -54,8 +54,8 @@ OVERLAP = "overlap"
 # in one block of intersection_counts: 32 biquad vectors (56 segments) at any
 # number of frequencies. In-process GA runs (biquad, population 128,
 # 1 generation, n = 2; 2-core x86 VM, numpy 2.4.6) took about as long with
-# blocks of 24 to 64 vectors and longer with 16; the tracemalloc peak grows
-# with the block, 1.1 MB at 24 vectors, 1.35 MB at 32 and 2.5 MB at 64.
+# blocks of 24 to 64 vectors and 15-20% longer with 16; a run's tracemalloc
+# peak grows with the block: 0.6, 0.9, 1.0 and 1.9 MB at 16, 24, 32 and 64.
 _BOX_ENTRIES = 32 * 56 * 56
 
 
@@ -240,10 +240,10 @@ def _incidences(p0, p1, pairs, tol, origin_tol=None, origin=0.0):
     zero vector, a ``shared`` pair (both segments end at the exact zero
     point) that does not overlap meets only there, where the origin rule
     drops it; so such a pair goes on only if it could be parallel, by a
-    bound 1000 times looser than the closest-point test's own. The closest-point test then runs on
-    point-major (K, n) rows of the survivors, gathered from the flattened
-    (B * S, n) endpoints, with the same arithmetic as a pass over all
-    pairs.
+    bound 1000 times looser than the closest-point test's own. The
+    closest-point test then runs on point-major (K, n) rows of the
+    survivors, gathered from the flattened (B * S, n) endpoints, with the
+    same arithmetic as a pass over all pairs.
 
     Returns ``(batch, pair, overlap, point)`` of the kept incidences in
     (batch, pair) order; ``overlap`` is False for a cross.
