@@ -11,7 +11,8 @@ Subcommands::
 Settings come from an optional JSON config file (--config); every field
 can be overridden by a flag of the same name. Exit codes: 0 success,
 1 pipeline/numeric failure (including a non-finite diagnosis ranking and
-running out of memory), 2 usage or configuration error.
+running out of memory), 2 usage or configuration error (including a run
+past the work limit, ``_WORK_LIMIT``).
 """
 
 from __future__ import annotations
@@ -56,6 +57,16 @@ _UNITS = {"rad/s": 1.0, "hz": 2.0 * math.pi}
 # doubles), so no measurement lies beyond this, and signatures within it
 # cannot overflow the diagnosis's squared distances.
 _MEASURED_LIMIT_DB = 1e4
+
+# Most values a run may ask for, in each of two products: fault rows
+# (golden + targets x faults per target) x grid points, and GA population
+# x test frequencies. Both are checked by arithmetic before anything is
+# built, so a run past the limit exits 2 instead of filling memory first.
+_WORK_LIMIT = 10**7
+_ROWS_X_GRID = (
+    "config field 'grid': grid points x fault rows "
+    "(from 'targets', 'range_low', 'range_high' and 'step')"
+)
 
 
 @dataclass
@@ -105,11 +116,14 @@ class RunConfig:
         if self.ambiguity_margin < 0.0:
             raise ConfigError("config field 'ambiguity_margin': must be non-negative")
         try:
-            check_grid(self.range_low, self.range_high, self.step)
+            per_target = check_grid(self.range_low, self.range_high, self.step)
         except ConfigError as exc:
             raise ConfigError(
                 f"config field 'range_low'/'range_high'/'step': {exc}"
             ) from None
+        # without the netlist, count at least one target; _fault_config counts them all
+        n_targets = max(len(self.targets or ()), 1)
+        _check_work((1 + n_targets * per_target) * self.grid, _ROWS_X_GRID)
         try:
             self.ga = GaConfig(
                 population_size=self.population_size,
@@ -123,6 +137,10 @@ class RunConfig:
             )
         except ConfigError as exc:
             raise ConfigError(f"config field (GA): {exc}") from None
+        _check_work(
+            self.population_size * self.n_frequencies,
+            "config field 'population_size': population x 'n_frequencies'",
+        )
 
     @property
     def omega_scale(self) -> float:
@@ -130,6 +148,11 @@ class RunConfig:
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _check_work(values: int, what: str) -> None:
+    if values > _WORK_LIMIT:
+        raise ConfigError(f"{what} exceed the work limit of {_WORK_LIMIT:,} values")
 
 
 def load_config(config_path: str | None, overrides: dict) -> RunConfig:
@@ -187,6 +210,8 @@ def _load_circuit(config: RunConfig):
 
 def _fault_config(config: RunConfig, circuit) -> FaultConfig:
     targets = circuit.passive_ids() if config.targets is None else config.targets
+    per_target = check_grid(config.range_low, config.range_high, config.step)
+    _check_work((1 + len(targets) * per_target) * config.grid, _ROWS_X_GRID)
     fault_config = FaultConfig(targets, config.range_low, config.range_high, config.step)
     try:
         for spec in enumerate_faults(fault_config):

@@ -58,9 +58,13 @@ class FaultSpec:
         return f"fault ({self.component}, {self.deviation:+g})"
 
 
-def check_grid(range_low: float, range_high: float, step: float) -> None:
+def check_grid(range_low: float, range_high: float, step: float) -> int:
     """Raise ConfigError unless 0 < range_low < 1 < range_high, each a whole
-    number of ``step`` from 1.0 (the rule of :class:`FaultConfig`)."""
+    number of ``step`` from 1.0 (the rule of :class:`FaultConfig`).
+
+    Returns the number of faults per target, the length of
+    :meth:`FaultConfig.deviations`, without building them.
+    """
     if not (0.0 < range_low < 1.0 < range_high):
         raise ConfigError(
             f"need 0 < range_low < 1 < range_high, got "
@@ -68,16 +72,21 @@ def check_grid(range_low: float, range_high: float, step: float) -> None:
         )
     if not 0.0 < step < math.inf:
         raise ConfigError(f"step must be positive and finite, got {step}")
+    count = 0
     for span, name in (
         (1.0 - range_low, "range_low"),
         (range_high - 1.0, "range_high"),
     ):
         steps = span / step
+        if not math.isfinite(steps):
+            raise ConfigError(f"{name} is too many steps from 1.0 (span {span:g}, step {step:g})")
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError(
                 f"{name} is not an integer number of steps from 1.0 "
                 f"(span {span:g}, step {step:g})"
             )
+        count += round(steps)
+    return count
 
 
 @dataclass(frozen=True)
@@ -217,15 +226,19 @@ def write_dictionary_csv(path, dictionary: FaultDictionary, frequencies=None) ->
 
     ``frequencies`` replace the dictionary's in the freq column (the CLI
     writes the user's unit); a different count raises ``ValueError``.
-    Each row of the array is written at once.
+    Each row of the array is one ``%`` format of a per-row template, its
+    label joining the frequency columns: ``'%.17g' % x`` and
+    ``f'{x:.17g}'`` give the same text, and a label's own ``%`` is
+    escaped first.
     """
     freqs = np.asarray(dictionary.frequencies if frequencies is None else frequencies, float)
     if freqs.shape != dictionary.frequencies.shape:
         raise ValueError(f"need {len(dictionary.frequencies)} frequencies, got {freqs.size}")
-    columns = [f",{f:.17g}," for f in freqs.tolist()]
+    columns = [f",{f:.17g},%.17g\n" for f in freqs.tolist()]
     specs = enumerate_faults(dictionary.config)
     labels = [f"{GOLDEN_LABEL},0", *(f"{s.component},{s.deviation:.17g}" for s in specs)]
     with open(path, "w", newline="") as fh:
         fh.write("component,deviation,freq,mag_db\n")
         for label, row in zip(labels, dictionary.magnitudes_db):
-            fh.write("".join(f"{label}{c}{m:.17g}\n" for c, m in zip(columns, row.tolist())))
+            label = label.replace("%", "%%")
+            fh.write((label + label.join(columns)) % tuple(row.tolist()))

@@ -6,7 +6,7 @@ The accepted grammar is deliberately small:
 * ``*`` in column one starts a comment line; blank lines are skipped
 * the first letter of an element id selects its kind (case insensitive):
   ``R`` resistor, ``C`` capacitor, ``L`` inductor, ``E`` vcvs,
-  ``V`` independent voltage source
+  ``V`` independent voltage source; an id holds no ``,``
 * two-terminal elements: ``<id> <n+> <n-> <value>``
 * vcvs: ``<id> <out+> <out-> <in+> <in-> <gain>``
 * directives: ``.input <source id>`` and ``.output <node>``
@@ -170,6 +170,9 @@ def parse_netlist(text: str) -> Circuit:
             raise NetlistError(
                 f"{ident}: expected {arity + 2} fields, got {len(tokens)}", lineno
             )
+        if "," in ident:
+            # ids label the rows of the CSV outputs
+            raise NetlistError(f"element id {ident!r} contains a comma", lineno)
         if ident in seen_ids:
             raise NetlistError(f"duplicate element id {ident!r}", lineno)
         try:

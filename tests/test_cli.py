@@ -74,6 +74,7 @@ def test_config_file_round_trip(tmp_path):
         ({"netlist": "/nonexistent/file.cir"}, "/nonexistent/file.cir"),
         ({"grid": 1.5}, "integer"),
         ({"unit": "hz", "f_max": 1e308}, "GA"),  # finite, but not once scaled to rad/s
+        ({"range_high": 1e300, "step": 1e-300}, "range_high is too many steps"),
     ],
 )
 def test_malformed_configs_fail_fast(tmp_path, payload, fragment):
@@ -236,6 +237,56 @@ def test_simulate_bad_target_exit_2(tmp_path, capsys, target, fragment):
     assert run(["simulate", "--outdir", tmp_path / "out", "--targets", target]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: config field 'targets': ") and fragment in line
+
+
+def _tripwire(*args, **kwargs):
+    raise AssertionError("reached past the work limit")
+
+
+@pytest.mark.parametrize(
+    "args,field",
+    [
+        (["simulate", "--grid", 300_000_000], "grid"),
+        (["simulate", "--step", 0.0000001], "grid"),  # 8 million faults per target
+        (["simulate", "--range-high", 1e300], "grid"),
+        # 9 rows x 1e6 points pass without the netlist; the biquad's 57 do not
+        (["simulate", "--grid", 1_000_000], "grid"),
+        (["optimize", "--grid", 1_000_000], "grid"),
+        (["optimize", "--population-size", 400_000_000, "--generations", 0], "population_size"),
+    ],
+)
+def test_work_past_the_limit_exit_2_before_building(tmp_path, capsys, monkeypatch, args, field):
+    for name in ("FaultConfig", "enumerate_faults", "log_grid", "build_dictionary", "run_ga"):
+        monkeypatch.setattr(trajdiag.cli, name, _tripwire)
+    out = tmp_path / "out"
+    assert run(args + ["--outdir", out]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: config field {field!r}: ")
+    assert line.endswith("exceed the work limit of 10,000,000 values")
+    assert not out.exists()
+
+
+def test_work_limit_boundary():
+    limit = trajdiag.cli._WORK_LIMIT
+    rows = 1 + 8  # golden + R1's 8 faults
+    RunConfig(targets=("R1",), grid=limit // rows)
+    with pytest.raises(ConfigError, match="'grid'.*work limit"):
+        RunConfig(targets=("R1",), grid=limit // rows + 1)
+    RunConfig(population_size=limit // 4, n_frequencies=4)
+    with pytest.raises(ConfigError, match="'population_size'.*work limit"):
+        RunConfig(population_size=limit // 4 + 1, n_frequencies=4)
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_comma_in_element_id_exit_2(tmp_path, capsys, command):
+    # the id would add a field to every CSV row that names it
+    netlist = tmp_path / "comma.cir"
+    netlist.write_text("V1 in 0 1\nR1 in out 1\nC1,x out 0 1\n.input V1\n.output out\n")
+    out = tmp_path / "out"
+    assert run([command, "--netlist", netlist, "--outdir", out]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: line 3: element id 'C1,x' contains a comma"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- optimize

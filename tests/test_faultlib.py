@@ -298,6 +298,47 @@ def test_dictionary_csv_matches_per_value_writer(tmp_path, biquad, biquad_faults
     assert got.read_bytes() == want.read_bytes()
 
 
+def _ladder_netlist(rng, sections=8):
+    """Doubly terminated RLC lowpass ladder, series L and shunt C per
+    section: 2 + 2 * sections passives, 18 at the default."""
+    def value():
+        return f"{rng.uniform(0.5, 2.0):.6g}"
+
+    lines = ["V1 in 0 1", f"RS in n1 {value()}"]
+    for k in range(1, sections + 1):
+        lines += [f"L{k} n{k} n{k + 1} {value()}", f"C{k} n{k + 1} 0 {value()}"]
+    lines += [f"RL n{sections + 1} 0 {value()}", ".input V1", f".output n{sections + 1}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("case", ["percent-ids", "ladder-hz", "one-point"])
+def test_dictionary_csv_template_matches_reference(tmp_path, biquad, case):
+    # each row is one %-format of a template built from its label, so ids
+    # holding "%" must come out as they are; the 18-passive ladder at 201
+    # points with Hz labels is the benchmark's sweep shape
+    labels = None
+    if case == "percent-ids":
+        circuit = parse_netlist(
+            "V1 in 0 1\nR%1 in a 1k\nL%%2 a out 1m\nC%s out 0 1u\n.input V1\n.output out\n"
+        )
+        grid = log_grid(1e3, 1e6, 31)
+    elif case == "ladder-hz":
+        circuit = parse_netlist(_ladder_netlist(np.random.default_rng(801)))
+        labels = log_grid(0.01, 2.0, 201)
+        grid = labels * (2.0 * math.pi)
+    else:
+        circuit, grid = biquad, [1.0]
+    dictionary = build_dictionary(circuit, FaultConfig(circuit.passive_ids()), grid)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_dictionary_csv(got, dictionary, frequencies=labels)
+    reference_dictionary_csv(want, dictionary, frequencies=labels)
+    assert got.read_bytes() == want.read_bytes()
+    rows = got.read_text().splitlines()
+    assert len(rows) == 1 + dictionary.magnitudes_db.size
+    if case == "percent-ids":
+        assert {row.split(",")[0] for row in rows[1:]} == {"__golden__", "R%1", "L%%2", "C%s"}
+
+
 def test_dictionary_csv(tmp_path, biquad):
     config = FaultConfig(("R1", "C1"), range_low=0.9, range_high=1.1, step=0.1)
     dictionary = build_dictionary(biquad, config, log_grid(0.1, 10.0, 4))

@@ -101,11 +101,18 @@ def test_malformed_values(token):
         ("V1 1 0 1\nR1 1 0 1\n.input V1\n.input V1\n.output 1", "duplicate .input"),
         ("V1 1 0 1\nC1 1 0 1e999\n.input V1\n.output 1", "line 2: C1: value '1e999'"),
         ("V1 1 0 1\nC1 1 0 1e306k\n.input V1\n.output 1", "line 2: C1: value '1e306k'"),
+        ("V1 1 0 1\nR1,x 1 0 1\n.input V1\n.output 1", "line 2: element id 'R1,x' contains a comma"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(NetlistError, match=fragment.replace("(", "").replace(")", "")):
         parse_netlist(text)
+
+
+def test_percent_in_ids_accepted():
+    # only a comma is barred from an id; a "%" reaches the CSV rows as it is
+    circuit = parse_netlist("V1 1 0 1\nR%1 1 2 1\nC%s 2 0 1\n.input V1\n.output 2")
+    assert circuit.passive_ids() == ("R%1", "C%s")
 
 
 def test_round_trip_biquad(biquad):
