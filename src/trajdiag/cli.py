@@ -58,10 +58,11 @@ _UNITS = {"rad/s": 1.0, "hz": 2.0 * math.pi}
 # cannot overflow the diagnosis's squared distances.
 _MEASURED_LIMIT_DB = 1e4
 
-# Most values a run may ask for, in each of two products: fault rows
-# (golden + targets x faults per target) x grid points, and GA population
-# x test frequencies. Both are checked by arithmetic before anything is
-# built, so a run past the limit exits 2 instead of filling memory first.
+# Most values a run may ask for, in each of three products: fault rows
+# (golden + targets x faults per target) x grid points, GA population x test
+# frequencies, and optimize's faults x faults segment pairs per test vector.
+# Each is checked by arithmetic before anything is built, so a run past the
+# limit exits 2 instead of filling memory first.
 _WORK_LIMIT = 10**7
 _ROWS_X_GRID = (
     "config field 'grid': grid points x fault rows "
@@ -116,14 +117,11 @@ class RunConfig:
         if self.ambiguity_margin < 0.0:
             raise ConfigError("config field 'ambiguity_margin': must be non-negative")
         try:
-            per_target = check_grid(self.range_low, self.range_high, self.step)
+            # without the netlist, count at least one target; _fault_config counts them all
+            rows = _fault_rows(self, max(len(self.targets or ()), 1))
         except ConfigError as exc:
-            raise ConfigError(
-                f"config field 'range_low'/'range_high'/'step': {exc}"
-            ) from None
-        # without the netlist, count at least one target; _fault_config counts them all
-        n_targets = max(len(self.targets or ()), 1)
-        _check_work((1 + n_targets * per_target) * self.grid, _ROWS_X_GRID)
+            raise ConfigError(f"config field 'range_low'/'range_high'/'step': {exc}") from None
+        _check_work(rows * self.grid, _ROWS_X_GRID)
         try:
             self.ga = GaConfig(
                 population_size=self.population_size,
@@ -148,6 +146,11 @@ class RunConfig:
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _fault_rows(config: RunConfig, n_targets: int) -> int:
+    """Golden + ``n_targets`` x the grid's faults per target, by arithmetic."""
+    return 1 + n_targets * sum(check_grid(config.range_low, config.range_high, config.step))
 
 
 def _check_work(values: int, what: str) -> None:
@@ -208,13 +211,18 @@ def _load_circuit(config: RunConfig):
     return parse_netlist(Path(config.netlist).read_text())
 
 
-def _fault_config(config: RunConfig, circuit) -> FaultConfig:
+def _fault_config(config: RunConfig, circuit, pairs: bool = False) -> FaultConfig:
+    """The run's fault grid on ``circuit``, held to the work limit before it
+    is built; with ``pairs`` (optimize) its faults x faults are too."""
     targets = circuit.passive_ids() if config.targets is None else config.targets
-    per_target = check_grid(config.range_low, config.range_high, config.step)
-    _check_work((1 + len(targets) * per_target) * config.grid, _ROWS_X_GRID)
+    rows = _fault_rows(config, len(targets))
+    _check_work(rows * config.grid, _ROWS_X_GRID)
+    if pairs:
+        _check_work((rows - 1) ** 2, "config field 'step': faults x faults (segment pairs)")
     fault_config = FaultConfig(targets, config.range_low, config.range_high, config.step)
     try:
-        for spec in enumerate_faults(fault_config):
+        # every fault is built first, then each target checked by its most negative one
+        for spec in enumerate_faults(fault_config)[:: len(fault_config.deviations())]:
             deviation_target(circuit, spec)
     except ValueError as exc:
         raise ConfigError(f"config field 'targets': {exc}") from None
@@ -243,7 +251,7 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def cmd_optimize(config: RunConfig) -> int:
     circuit = _load_circuit(config)
-    fault_config = _fault_config(config, circuit)
+    fault_config = _fault_config(config, circuit, pairs=True)
     scale = config.omega_scale
     best, log = run_ga(
         circuit, fault_config, config.ga, tol=config.tol, origin_tol=config.origin_tol
@@ -382,12 +390,13 @@ def render_svg(trajectories, query=None) -> str:
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         ly = 20.0 + 16.0 * index
+        name = trajectory.component.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<rect x="{width - 150:.2f}" y="{ly - 9:.2f}" width="10" height="10" fill="{color}"/>'
         )
         parts.append(
             f'<text x="{width - 134:.2f}" y="{ly:.2f}" font-size="12" '
-            f'font-family="sans-serif">{trajectory.component}</text>'
+            f'font-family="sans-serif">{name}</text>'
         )
     ox, oy = sx(0.0), sy(0.0)
     parts.append(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,12 +58,12 @@ class FaultSpec:
         return f"fault ({self.component}, {self.deviation:+g})"
 
 
-def check_grid(range_low: float, range_high: float, step: float) -> int:
+def check_grid(range_low: float, range_high: float, step: float) -> tuple[int, int]:
     """Raise ConfigError unless 0 < range_low < 1 < range_high, each a whole
     number of ``step`` from 1.0 (the rule of :class:`FaultConfig`).
 
-    Returns the number of faults per target, the length of
-    :meth:`FaultConfig.deviations`, without building them.
+    Returns those whole numbers, the steps below and above 1.0, whose sum
+    is the number of faults per target; nothing is built.
     """
     if not (0.0 < range_low < 1.0 < range_high):
         raise ConfigError(
@@ -72,11 +72,8 @@ def check_grid(range_low: float, range_high: float, step: float) -> int:
         )
     if not 0.0 < step < math.inf:
         raise ConfigError(f"step must be positive and finite, got {step}")
-    count = 0
-    for span, name in (
-        (1.0 - range_low, "range_low"),
-        (range_high - 1.0, "range_high"),
-    ):
+    counts = []
+    for span, name in ((1.0 - range_low, "range_low"), (range_high - 1.0, "range_high")):
         steps = span / step
         if not math.isfinite(steps):
             raise ConfigError(f"{name} is too many steps from 1.0 (span {span:g}, step {step:g})")
@@ -85,13 +82,16 @@ def check_grid(range_low: float, range_high: float, step: float) -> int:
                 f"{name} is not an integer number of steps from 1.0 "
                 f"(span {span:g}, step {step:g})"
             )
-        count += round(steps)
-    return count
+        counts.append(round(steps))
+    return tuple(counts)
 
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Fault targets plus the multiplier range and step of the deviation grid."""
+    """Fault targets plus the multiplier range and step of the deviation grid.
+
+    The grid, :attr:`n_below` and :attr:`faults` are built once per config;
+    they are not fields, so equality and hashing ignore them."""
 
     targets: tuple[str, ...]
     range_low: float = DEFAULT_RANGE_LOW
@@ -104,23 +104,28 @@ class FaultConfig:
             raise ConfigError("fault target list is empty")
         if len(set(self.targets)) != len(self.targets):
             raise ConfigError("duplicate fault target")
-        check_grid(self.range_low, self.range_high, self.step)
+        below, above = check_grid(self.range_low, self.range_high, self.step)
+        grid = tuple(round(k * self.step, 12) for k in range(-below, above + 1) if k != 0)
+        object.__setattr__(self, "_deviations", grid)
 
     def deviations(self) -> tuple[float, ...]:
         """Grid of nonzero deviations, ascending."""
-        n_lo = round((1.0 - self.range_low) / self.step)
-        n_hi = round((self.range_high - 1.0) / self.step)
-        return tuple(
-            round(k * self.step, 12) for k in range(-n_lo, n_hi + 1) if k != 0
-        )
+        return self._deviations
+
+    @cached_property
+    def n_below(self) -> int:
+        """Count of negative deviations: the golden point's row in a trajectory."""
+        return sum(d < 0.0 for d in self._deviations)
+
+    @cached_property
+    def faults(self) -> tuple[FaultSpec, ...]:
+        """All grid faults in (target order, ascending deviation) order."""
+        return tuple(FaultSpec(t, dev) for t in self.targets for dev in self._deviations)
 
 
 def enumerate_faults(config: FaultConfig) -> tuple[FaultSpec, ...]:
-    """All grid faults in (target order, ascending deviation) order."""
-    grid = config.deviations()
-    return tuple(
-        FaultSpec(target, dev) for target in config.targets for dev in grid
-    )
+    """The config's own :attr:`FaultConfig.faults` tuple."""
+    return config.faults
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +144,7 @@ class FaultDictionary:
     magnitudes_db: np.ndarray
 
     def __post_init__(self):
-        shape = (1 + len(enumerate_faults(self.config)), len(self.frequencies))
+        shape = (1 + len(self.config.faults), len(self.frequencies))
         if self.magnitudes_db.shape != shape:
             raise ValueError(f"magnitudes of shape {self.magnitudes_db.shape} do not match {shape}")
 
@@ -159,8 +164,8 @@ class FaultDictionary:
     @property
     def entries(self) -> dict[FaultSpec, ResponseCurve]:
         """Every fault row as a curve, in :func:`enumerate_faults` order."""
-        specs = enumerate_faults(self.config)
-        return {spec: self._curve(row) for row, spec in enumerate(specs, start=1)}
+        faults = self.config.faults
+        return {spec: self._curve(row) for row, spec in enumerate(faults, start=1)}
 
     def _curve(self, row: int) -> ResponseCurve:
         return ResponseCurve(tuple(self.frequencies.tolist()), tuple(self.magnitudes_db[row].tolist()))
@@ -174,11 +179,10 @@ class FaultEnsemble:
     the circuit's cached golden system, so nothing is re-stamped.
     """
 
-    __slots__ = ("specs", "_system")
+    __slots__ = ("_system",)
 
     def __init__(self, circuit: Circuit, config: FaultConfig):
-        self.specs = enumerate_faults(config)
-        self._system = _golden_system(circuit).with_faults(self.specs)
+        self._system = _golden_system(circuit).with_faults(config.faults)
 
     def magnitudes(self, omegas) -> np.ndarray:
         """dB magnitudes, shape (1 + n_faults, n_frequencies)."""
@@ -235,7 +239,7 @@ def write_dictionary_csv(path, dictionary: FaultDictionary, frequencies=None) ->
     if freqs.shape != dictionary.frequencies.shape:
         raise ValueError(f"need {len(dictionary.frequencies)} frequencies, got {freqs.size}")
     columns = [f",{f:.17g},%.17g\n" for f in freqs.tolist()]
-    specs = enumerate_faults(dictionary.config)
+    specs = dictionary.config.faults
     labels = [f"{GOLDEN_LABEL},0", *(f"{s.component},{s.deviation:.17g}" for s in specs)]
     with open(path, "w", newline="") as fh:
         fh.write("component,deviation,freq,mag_db\n")

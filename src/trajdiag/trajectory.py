@@ -147,8 +147,7 @@ def build_trajectories(
 ) -> list[Trajectory]:
     """One trajectory per fault target, sampled at the test frequencies."""
     mags = ensemble_for(circuit, config).magnitudes(np.asarray(tv.frequencies))
-    n_below = sum(d < 0.0 for d in config.deviations())
-    stack = _signature_stack(mags, len(config.targets), n_below, len(tv.frequencies))[0]
+    stack = _signature_stack(mags, len(config.targets), config.n_below, len(tv.frequencies))[0]
     grid = sorted(config.deviations() + (0.0,))
     return [
         Trajectory(component, grid, points)
@@ -222,7 +221,7 @@ def _boxes_touch(p0, p1, flat, tol):
     return close.reshape(batch_size, -1).take(flat, axis=1)
 
 
-def _incidences(p0, p1, pairs, tol, origin_tol=None, origin=0.0):
+def _incidences(p0, p1, pairs, tol, origin_tol=None):
     """Incident segment pairs of a batch of segment sets, all in numpy.
 
     ``p0, p1``: (B, S, n) segment endpoints; ``pairs``: the
@@ -233,14 +232,14 @@ def _incidences(p0, p1, pairs, tol, origin_tol=None, origin=0.0):
     crosses (point: an endpoint the two share, else the exact 2-D
     crossing, else midway between the closest points). With
     ``origin_tol`` set, contacts lying wholly within ``origin_tol`` of
-    ``origin`` are dropped.
+    the golden point, the zero vector, are dropped.
 
     A broad phase runs first: only the pairs that pass
-    :func:`_boxes_touch` go on. With ``origin_tol`` set and ``origin`` the
-    zero vector, a ``shared`` pair (both segments end at the exact zero
-    point) that does not overlap meets only there, where the origin rule
-    drops it; so such a pair goes on only if it could be parallel, by a
-    bound 1000 times looser than the closest-point test's own. The
+    :func:`_boxes_touch` go on. With ``origin_tol`` set, a ``shared`` pair
+    (both segments end at the exact zero point) that does not overlap
+    meets only there, where the origin rule drops it; so such a pair goes
+    on only if it could be parallel, by a bound 1000 times looser than
+    the closest-point test's own. The
     closest-point test then runs on point-major (K, n) rows of the
     survivors, gathered from the flattened (B * S, n) endpoints, with the
     same arithmetic as a pass over all pairs.
@@ -252,7 +251,7 @@ def _incidences(p0, p1, pairs, tol, origin_tol=None, origin=0.0):
     size = p0.shape[1]
     near = _boxes_touch(p0, p1, flat, tol)
     step = p1 - p0
-    if origin_tol is not None and not np.any(origin):
+    if origin_tol is not None:
         u, v = step.take(first[shared], axis=1), step.take(second[shared], axis=1)
         uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
         parallel = uu * vv - uv * uv <= 1e-9 * uu * vv
@@ -308,9 +307,7 @@ def _incidences(p0, p1, pairs, tol, origin_tol=None, origin=0.0):
 
     keep = slice(None)
     if origin_tol is not None:
-        reach = np.maximum(
-            *(np.sqrt(_dot(e - origin, e - origin)) for e in (lo_end, hi_end))
-        )
+        reach = np.maximum(*(np.sqrt(_dot(e, e)) for e in (lo_end, hi_end)))
         keep = reach > origin_tol
     return batch[keep], pair[keep], overlap[keep], point[keep]
 
@@ -341,15 +338,13 @@ def segment_incidence(a0, a1, b0, b1, tol: float):
     return (OVERLAP if overlap[0] else CROSS), tuple(point[0].tolist())
 
 
-def count_intersections(
-    trajectories, tol: float = 1e-6, origin_tol: float | None = None, origin=None
-):
+def count_intersections(trajectories, tol: float = 1e-6, origin_tol: float | None = None):
     """Count incidences between segments of distinct trajectories.
 
     Returns ``(I, records)``. ``tol`` is the incidence distance threshold;
     ``origin_tol`` (default: ``tol``) is the radius of the exclusion ball
-    around the golden point, inside which contacts are expected and not
-    counted. ``origin`` defaults to the zero vector.
+    around the golden point, the zero vector every trajectory passes
+    through, inside which contacts are expected and not counted.
     """
     origin_tol = tol if origin_tol is None else origin_tol
     _check_tolerances(tol=tol, origin_tol=origin_tol)
@@ -359,12 +354,6 @@ def count_intersections(
     dims = {t.dimension for t in trajectories}
     if len(dims) != 1:
         raise ValueError(f"trajectories have mixed dimensions: {sorted(dims)}")
-    n = dims.pop()
-    origin = np.zeros(n) if origin is None else np.asarray(origin, dtype=float)
-    if origin.shape != (n,):
-        raise ValueError("origin dimension does not match trajectories")
-    if not np.isfinite(origin).all():
-        raise ValueError(f"origin must be finite, got {origin.tolist()}")
 
     points = [traj.points for traj in trajectories]
     p0 = np.concatenate([pts[:-1] for pts in points])
@@ -372,13 +361,9 @@ def count_intersections(
     segments = tuple(len(pts) - 1 for pts in points)
     traj_of = np.repeat(np.arange(len(points)), segments)
     seg_of = np.concatenate([np.arange(k) for k in segments])
-    origins = tuple(
-        int(np.flatnonzero(traj.deviations == 0.0)[0]) for traj in trajectories
-    )
+    origins = tuple(int(np.flatnonzero(t.deviations == 0.0)[0]) for t in trajectories)
     pairs = _cross_pairs(segments, origins)
-    _, pair, overlap, point = _incidences(
-        p0[None], p1[None], pairs, tol, origin_tol, origin
-    )
+    _, pair, overlap, point = _incidences(p0[None], p1[None], pairs, tol, origin_tol)
     first, second = pairs[:2]
     names = [traj.component for traj in trajectories]
     records = [
@@ -414,8 +399,7 @@ def intersection_counts(
         raise ValueError("test vectors must all have the same number of frequencies")
     omegas = np.array([tv.frequencies for tv in vectors])
     ensemble = ensemble_for(circuit, config)
-    grid = config.deviations()
-    targets, segments, n_below = len(config.targets), len(grid), sum(d < 0.0 for d in grid)
+    targets, segments, n_below = len(config.targets), len(config.deviations()), config.n_below
     pairs = _cross_pairs((segments,) * targets, (n_below,) * targets)
     step = max(1, _BOX_ENTRIES // (targets * segments) ** 2)
     counts = []

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import typing
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trajdiag
 import trajdiag.cli
@@ -15,9 +22,12 @@ from trajdiag.cli import RunConfig, load_config, main, render_svg
 from trajdiag.data import biquad_path
 from trajdiag.diagnose import DiagnosisResult, Hypothesis
 from trajdiag.errors import ConfigError
+from trajdiag.faultlib import FaultSpec
+from trajdiag.netlist import parse_netlist
 from trajdiag.trajectory import TestVector, build_trajectories, write_trajectories_csv
 
 from conftest import ORACLE_VECTOR
+from oracle_utils import random_rlc_vcvs_netlist
 
 
 def run(args):
@@ -253,6 +263,8 @@ def _tripwire(*args, **kwargs):
         (["simulate", "--grid", 1_000_000], "grid"),
         (["optimize", "--grid", 1_000_000], "grid"),
         (["optimize", "--population-size", 400_000_000, "--generations", 0], "population_size"),
+        # 5,600 biquad faults: faults x faults = 31.4 million
+        (["optimize", "--step", 0.001], "step"),
     ],
 )
 def test_work_past_the_limit_exit_2_before_building(tmp_path, capsys, monkeypatch, args, field):
@@ -264,6 +276,26 @@ def test_work_past_the_limit_exit_2_before_building(tmp_path, capsys, monkeypatc
     assert line.startswith(f"error: config field {field!r}: ")
     assert line.endswith("exceed the work limit of 10,000,000 values")
     assert not out.exists()
+
+
+def test_fault_pairs_within_the_limit_reach_the_ga(tmp_path, monkeypatch):
+    # 2,800 biquad faults: faults x faults = 7.8 million
+    monkeypatch.setattr(trajdiag.cli, "run_ga", _tripwire)
+    with pytest.raises(AssertionError, match="reached past the work limit"):
+        run(["optimize", "--step", 0.002, "--outdir", tmp_path / "out"])
+
+
+def test_simulate_builds_each_fault_once(tmp_path, monkeypatch):
+    built = []
+    check = FaultSpec.__post_init__
+
+    def counting(spec):
+        built.append(spec)
+        check(spec)
+
+    monkeypatch.setattr(FaultSpec, "__post_init__", counting)
+    assert run(["simulate", "--outdir", tmp_path / "out", "--grid", 3]) == 0
+    assert len(built) == len(set(built)) == 56
 
 
 def test_work_limit_boundary():
@@ -602,6 +634,17 @@ def test_plot_data_svg(tmp_path, biquad, biquad_faults):
     assert "<polygon" not in svg  # no query marker without --query
 
 
+def test_plot_data_escapes_component_names(tmp_path):
+    netlist = tmp_path / "markup.cir"
+    netlist.write_text("V1 in 0 1\nR<1 in out 1\nC&1 out 0 1\n.input V1\n.output out\n")
+    args = ["--netlist", netlist, "--outdir", tmp_path / "out"]
+    assert run(["optimize", *args, "--population-size", 8, "--generations", 0]) == 0
+    assert run(["plot-data", *args]) == 0
+    svg = ElementTree.parse(tmp_path / "out" / "trajectories.svg").getroot()
+    labels = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == ["R<1", "C&1", "golden"]
+
+
 def test_plot_data_query_marker(tmp_path, biquad, biquad_faults):
     out = _plant_trajectories(tmp_path, biquad, biquad_faults)
     assert run(["plot-data", "--outdir", out, "--query", "0.5,-0.25"]) == 0
@@ -705,3 +748,73 @@ def test_simulate_reproducible_bytes(tmp_path):
     assert (out_a / "dictionary.csv").read_bytes() == (
         out_b / "dictionary.csv"
     ).read_bytes()
+
+
+# ---------------------------------------------------------------- contract
+
+
+def _assert_finite_outputs(out):
+    for path in out.glob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            for field in line.split(","):
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue  # a component name
+                assert math.isfinite(value), f"{path.name}: {line}"
+    vector = out / "best_vector.json"
+    if vector.exists():
+        payload = json.loads(vector.read_text())
+        for value in [*payload["frequencies"], payload["fitness"]]:
+            assert math.isfinite(value), f"{vector.name}: {payload}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_frequencies=st.integers(1, 3),
+    grid=st.sampled_from([1, 5, 11]),
+    step=st.sampled_from([0.1, 0.2]),
+    some_targets=st.booleans(),
+    invalid=st.sampled_from([[], [], [], ["--step", 0.07], ["--grid", 0], ["--targets", "X9"]]),
+    measurement=st.sampled_from(["inject", "measured", "wrong count"]),
+    level=st.floats(-60.0, 60.0),
+)
+def test_cli_contract(seed, n_frequencies, grid, step, some_targets, invalid, measurement, level):
+    """Every command on a random netlist and small, partly invalid flags:
+    exit 0, 1 or 2; a failure prints one ``error:`` line; no exception or
+    RuntimeWarning escapes; every number written is finite."""
+    rng = np.random.default_rng(seed)
+    text = random_rlc_vcvs_netlist(rng)
+    passives = parse_netlist(text).passive_ids()
+    with tempfile.TemporaryDirectory() as scratch:
+        netlist, out = Path(scratch) / "random.cir", Path(scratch) / "out"
+        netlist.write_text(text)
+        flags = [
+            "--netlist", netlist, "--outdir", out, "--grid", grid, "--step", step,
+            "--n-frequencies", n_frequencies, "--population-size", 8, "--generations", 1,
+            "--seed", seed,
+        ]
+        if some_targets:
+            flags += ["--targets", ",".join(rng.choice(passives, 2, replace=False))]
+        flags += invalid  # the last of a repeated flag wins
+        if measurement == "inject":
+            query = ["--inject", f"{rng.choice(passives)}:{level / 200.0:+.3f}"]
+        else:
+            count = n_frequencies + (measurement == "wrong count")
+            query = ["--measured=" + ",".join([f"{level:.6g}"] * count)]
+        for command in (["simulate"], ["optimize"], ["diagnose", *query], ["plot-data"]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = run(command + flags)
+            assert code in (0, 1, 2), command
+            if code:
+                [line] = stderr.getvalue().splitlines()
+                assert line.startswith("error: "), line
+            if invalid[:1] in (["--step"], ["--grid"]):
+                assert code == 2, command
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            if out.exists():
+                _assert_finite_outputs(out)

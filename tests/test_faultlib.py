@@ -79,6 +79,22 @@ def test_cardinality_formula():
         assert len(enumerate_faults(config)) == expected
 
 
+@pytest.mark.parametrize(
+    "low,high,step", [(0.6, 1.4, 0.1), (0.5, 1.2, 0.1), (0.6, 1.4, 0.05), (0.9, 1.7, 0.1)]
+)
+def test_layout_is_decided_once(low, high, step):
+    config = FaultConfig(("R1", "C1"), low, high, step)
+    grid = config.deviations()
+    assert config.n_below == sum(d < 0.0 for d in grid) == round((1.0 - low) / step)
+    assert grid[config.n_below - 1] < 0.0 < grid[config.n_below]
+    assert config.deviations() is grid
+    assert enumerate_faults(config) is enumerate_faults(config) is config.faults
+    # the cached layout is not part of a config's value
+    twin = FaultConfig(["R1", "C1"], low, high, step)
+    assert twin == config and hash(twin) == hash(config)
+    assert twin != FaultConfig(("C1", "R1"), low, high, step)
+
+
 def test_fault_spec_validation():
     with pytest.raises(ValueError):
         FaultSpec("R1", -1.0)
@@ -230,7 +246,7 @@ def test_evaluate_at_matches_ensemble_row(biquad, biquad_faults):
     for vector in (ORACLE_VECTOR, (0.25, 4.0), (0.05, 1.0, 30.0)):
         mags = ensemble.magnitudes(vector)
         assert np.array_equal(evaluate_at(biquad, None, vector), mags[0])
-        for row, spec in enumerate(ensemble.specs, start=1):
+        for row, spec in enumerate(enumerate_faults(biquad_faults), start=1):
             assert np.array_equal(evaluate_at(biquad, spec, vector), mags[row]), spec
 
 
@@ -372,6 +388,6 @@ def test_ensemble_matches_single_path(biquad, biquad_faults):
     assert mags.shape == (57, 2)
     golden = evaluate_at(biquad, None, omegas)
     assert np.max(np.abs(mags[0] - np.asarray(golden))) <= 1e-12
-    spec = ensemble.specs[13]
+    spec = enumerate_faults(biquad_faults)[13]
     single = evaluate_at(biquad, spec, omegas)
     assert np.max(np.abs(mags[14] - np.asarray(single))) <= 1e-12

@@ -231,35 +231,6 @@ def test_pair_decomposition(biquad, biquad_faults):
     assert pair_sum == total
 
 
-def test_translation_invariance():
-    a = make_trajectory("A", [(1.0, 1.0), (2.0, 0.0)])
-    b = make_trajectory("B", [(1.0, 0.0), (2.0, 1.0)])
-    base, _ = count_intersections([a, b], 1e-6)
-    shift = np.asarray([3.7, -1.2])
-
-    # translated trajectories no longer satisfy the origin-at-zero type
-    # invariant, so they are built without validation on purpose
-    def translated(trajectory):
-        obj = object.__new__(Trajectory)
-        object.__setattr__(obj, "component", trajectory.component)
-        object.__setattr__(obj, "deviations", trajectory.deviations)
-        object.__setattr__(obj, "points", trajectory.points + shift)
-        return obj
-
-    moved = [translated(a), translated(b)]
-    count, _ = count_intersections(moved, 1e-6, origin=shift)
-    assert count == base
-
-
-@pytest.mark.parametrize(
-    "origin", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)]
-)
-def test_non_finite_origin_rejected(biquad, biquad_faults, origin):
-    trajectories = build_trajectories(biquad, biquad_faults, TestVector((0.4, 1.7)))
-    with pytest.raises(ValueError, match="origin must be finite"):
-        count_intersections(trajectories, 1e-6, origin=origin)
-
-
 def test_mixed_dimension_rejected():
     a = make_trajectory("A", [(1.0, 1.0)])
     b = make_trajectory("B", [(1.0, 0.0, 0.0)])
