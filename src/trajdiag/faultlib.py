@@ -18,6 +18,7 @@ ensemble's (1 + faults, frequencies) dB array itself; its ``golden`` and
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -115,7 +116,7 @@ class FaultConfig:
     @cached_property
     def n_below(self) -> int:
         """Count of negative deviations: the golden point's row in a trajectory."""
-        return sum(d < 0.0 for d in self._deviations)
+        return bisect_left(self._deviations, 0.0)
 
     @cached_property
     def faults(self) -> tuple[FaultSpec, ...]:
