@@ -9,9 +9,14 @@ individual is tracked outside the population (no elitism inside it).
 A run memoizes intersection counts by genes (``None`` for a vector the
 solver fails on, which scores 0.0) and takes every fitness, and the
 best vector's count in the log, from that memo. A generation's unseen
-individuals are scored in one ``intersection_counts`` call, which solves
-and counts them in blocks of bounded memory; a call that fails is split
-in halves until the failing vectors stand alone.
+individuals are scored in one call of the counting loop behind
+``intersection_counts``, in blocks of bounded memory, as rows of their
+frequencies ``10.0 ** g``; no ``TestVector`` is built per individual.
+The blocks take their dB columns from a run-local store keyed by
+frequency that holds the current population's frequencies, so a
+frequency is solved once while it stays in the population. A solve that
+fails is split in halves down to the failing frequencies, and each
+vector that holds one scores 0.0.
 
 Reproducibility: the run seed feeds a SeedSequence that spawns one
 child stream per generation; all stochastic draws happen on that
@@ -27,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SimulationError
-from .faultlib import FaultConfig
+from .errors import ConfigError
+from .faultlib import FaultConfig, ensemble_for
 from .netlist import Circuit
-from .trajectory import TestVector, intersection_counts
+from .trajectory import TestVector, _ColumnStore, _count_in_blocks, _origin_tol
 
 logger = logging.getLogger(__name__)
 
@@ -106,25 +111,24 @@ def fitness_from_intersections(intersections: int) -> float:
     return 1.0 / (intersections + 1)
 
 
-def _counts(vectors, circuit, config, tol, origin_tol) -> list[int | None]:
-    """Intersection counts of equal-length test vectors from one scoring call.
+def _counts(rows, store: _ColumnStore, config, tol, origin_tol) -> list[int | None]:
+    """Intersection counts of equal-length frequency rows, from ``store``.
 
-    When the call fails, each half of the vectors is counted again, and so
-    on down, so only a failing vector gets ``None`` (fitness 0.0) and one
-    bad vector among V costs about 2 log2(V) calls; the event is logged.
+    A row that holds a frequency the store could not solve gets ``None``
+    (fitness 0.0), and the event is logged once per row.
     """
-    try:
-        counts = intersection_counts(circuit, config, vectors, tol, origin_tol)
-    except SimulationError as exc:
-        if len(vectors) > 1:
-            half = len(vectors) // 2
-            return (
-                _counts(vectors[:half], circuit, config, tol, origin_tol)
-                + _counts(vectors[half:], circuit, config, tol, origin_tol)
-            )
-        logger.warning("fitness=0 for %s: %s", vectors[0].frequencies, exc)
-        return [None]
-    return counts.tolist()
+    counts = _count_in_blocks(store, np.array(rows), config, tol, origin_tol).tolist()
+    failed = store.failed
+    for k, row in enumerate(rows if failed else ()):
+        errors = [failed[f] for f in row if f in failed]
+        if errors:
+            logger.warning("fitness=0 for %s: %s", tuple(row), errors[0])
+            counts[k] = None
+    return counts
+
+
+def _store(circuit: Circuit, config: FaultConfig) -> _ColumnStore:
+    return _ColumnStore(ensemble_for(circuit, config).magnitudes, 1 + len(config.faults))
 
 
 def _fitness(count: int | None) -> float:
@@ -143,7 +147,8 @@ def fitness(
     A vector the solver cannot evaluate scores 0.0 so the search keeps
     going; the event is logged.
     """
-    return _fitness(_counts([tv], circuit, config, tol, origin_tol)[0])
+    store = _store(circuit, config)
+    return _fitness(_counts([tv.frequencies], store, config, tol, _origin_tol(tol, origin_tol))[0])
 
 
 def _roulette(fitnesses, size: int):
@@ -225,12 +230,18 @@ def run_ga(
 
     Returns the best-so-far vector and the full per-generation log.
     """
+    origin_tol = _origin_tol(tol, origin_tol)
     memo: dict[tuple[float, ...], int | None] = {}
+    store = _store(circuit, fault_config)
 
     def evaluate(population, generation) -> list[float]:
-        unseen = {c.genes: c.decode() for c in population if c.genes not in memo}
+        # Python's float power, as Chromosome.decode: numpy's vectorized
+        # 10.0 ** genes rounds some genes to a neighbouring float
+        rows = {c.genes: [10.0**g for g in c.genes] for c in population}
+        store.keep({f for row in rows.values() for f in row})
+        unseen = [genes for genes in rows if genes not in memo]
         if unseen:
-            counts = _counts(list(unseen.values()), circuit, fault_config, tol, origin_tol)
+            counts = _counts([rows[g] for g in unseen], store, fault_config, tol, origin_tol)
             memo.update(zip(unseen, counts))
         fitnesses = [_fitness(memo[c.genes]) for c in population]
         logger.debug(

@@ -30,20 +30,24 @@ is discarded, so such a pair goes on only if it could be parallel. The
 closed-form closest-point test then runs on the survivors alone, about
 8% of the 1344 cross-trajectory pairs of a random 2-frequency biquad
 vector (5% at 3 frequencies, 20% at 1, where every pair is collinear).
-:func:`intersection_counts` feeds the kernel blocks of test vectors,
-each one ensemble solve, whose box-test matrices hold at most
-``_BOX_ENTRIES`` entries, so its memory does not grow with the number
-of vectors.
+One loop feeds the kernel blocks of test vectors whose box-test
+matrices hold at most ``_BOX_ENTRIES`` entries, so its memory does not
+grow with the number of vectors. It takes each block's magnitudes from
+a callable: :func:`intersection_counts` passes the ensemble's solve, and
+the GA passes a run-local store of dB columns by frequency, which
+solves only the frequencies it does not hold yet.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SimulationError
 from .faultlib import FaultConfig, ensemble_for
 from .netlist import Circuit
 
@@ -57,6 +61,11 @@ OVERLAP = "overlap"
 # blocks of 24 to 64 vectors and 15-20% longer with 16; a run's tracemalloc
 # peak grows with the block: 0.6, 0.9, 1.0 and 1.9 MB at 16, 24, 32 and 64.
 _BOX_ENTRIES = 32 * 56 * 56
+
+# Cap on the dB values (columns x (1 + faults)) a GA run's _ColumnStore
+# keeps, 2 MB: 4,599 biquad columns, where a population of 128
+# two-frequency vectors needs 256; 93 columns at 2,800 faults.
+_STORE_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,11 @@ def _signature_stack(mags, targets: int, n_below: int, n: int) -> np.ndarray:
     deviation 0.
     """
     diffs = (mags[1:] - mags[0]).reshape(targets, -1, mags.shape[1] // n, n)
-    return np.insert(diffs.transpose(2, 0, 1, 3), n_below, 0.0, axis=2)
+    diffs = diffs.transpose(2, 0, 1, 3)
+    stack = np.zeros(diffs.shape[:2] + (diffs.shape[2] + 1, n))
+    stack[:, :, :n_below] = diffs[:, :, :n_below]
+    stack[:, :, n_below + 1 :] = diffs[:, :, n_below:]
+    return stack
 
 
 def build_trajectories(
@@ -156,7 +169,21 @@ def build_trajectories(
 
 
 def _dot(x, y):
-    return np.einsum("...n,...n->...", x, y)
+    """Sum of ``x * y`` over the last axis.
+
+    Up to two terms it is ``x0 * y0 + x1 * y1``, bit for bit what
+    ``np.einsum`` gives, at a third of its cost. From three terms on einsum
+    stays: its order depends on memory layout ((x0 y0 + x2 y2) + x1 y1 on
+    the C-order rows passed here), and the einsum-based reference in
+    ``tests/oracle_utils.py`` gives the same points only in that order; a
+    left-to-right sum moves ill-conditioned 3-D crossings by up to 2e-10.
+    """
+    if x.shape[-1] > 2:
+        return np.einsum("...n,...n->...", x, y)
+    total = x[..., 0] * y[..., 0]
+    if x.shape[-1] == 2:
+        total += x[..., 1] * y[..., 1]
+    return total
 
 
 def _cross2(x, y):
@@ -168,7 +195,7 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=2)
 def _cross_pairs(segments: tuple[int, ...], origins: tuple[int, ...]):
     """Segment index pairs ``i < j`` that belong to different trajectories.
 
@@ -177,18 +204,28 @@ def _cross_pairs(segments: tuple[int, ...], origins: tuple[int, ...]):
     numbered trajectory by trajectory. Returns ``(first, second, shared,
     flat)``: the pairs, the indices of the pairs whose segments both have
     an endpoint at their trajectory's origin point, and each pair's position
-    ``first * S + second`` in an (S, S) matrix of all S segments. The
-    arrays are cached per layout and read-only.
+    ``first * S + second`` in an (S, S) matrix of all S segments. The pairs
+    are written row by row of that matrix's upper triangle: a segment's
+    partners are all the segments of later trajectories, so no index array
+    over all S^2 pairs is built. The arrays are cached for the last two
+    layouts and read-only.
     """
-    traj_of = np.repeat(np.arange(len(segments)), segments)
+    sizes = np.asarray(segments, dtype=np.intp)
+    ends = np.cumsum(sizes)
+    total = int(ends[-1])
+    first = np.empty(int(sizes @ (total - ends)), dtype=np.intp)
+    second = np.empty_like(first)
+    start = 0
+    for size, end in zip(sizes.tolist(), ends.tolist()):
+        rows = slice(start, start + size * (total - end))
+        first[rows].reshape(size, -1)[:] = np.arange(end - size, end)[:, None]
+        second[rows].reshape(size, -1)[:] = np.arange(end, total)
+        start = rows.stop
     local = np.concatenate([np.arange(k) for k in segments])
     origin_of = np.repeat(origins, segments)
     at_origin = (local == origin_of - 1) | (local == origin_of)
-    first, second = np.triu_indices(len(traj_of), 1)
-    keep = traj_of[first] != traj_of[second]
-    first, second = first[keep], second[keep]
     shared = np.flatnonzero(at_origin[first] & at_origin[second])
-    pairs = first, second, shared, first * len(traj_of) + second
+    pairs = first, second, shared, first * total + second
     for array in pairs:
         array.flags.writeable = False
     return pairs
@@ -276,8 +313,12 @@ def _incidences(p0, p1, pairs, tol, origin_tol=None):
     diff = r + s[:, None] * u - t[:, None] * v
     hit = np.sqrt(_dot(diff, diff)) < tol
 
-    batch, pair, row_i, row_j, a0, b0 = (x[hit] for x in (batch, pair, row_i, row_j, a0, b0))
-    u, v, uu, vv, s, t, denom = (x[hit] for x in (u, v, uu, vv, s, t, denom))
+    # one index for the 13 gathers: a boolean mask would be scanned for each
+    rows = np.flatnonzero(hit)
+    survivors = (batch, pair, row_i, row_j, a0, b0, u, v, uu, vv, s, t, denom)
+    batch, pair, row_i, row_j, a0, b0, u, v, uu, vv, s, t, denom = (
+        x.take(rows, axis=0) for x in survivors
+    )
     a1, b1 = p1.take(row_i, axis=0), p1.take(row_j, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         lo_b = _dot(b0 - a0, u) / uu
@@ -319,6 +360,13 @@ def _check_tolerances(**tolerances) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _origin_tol(tol: float, origin_tol: float | None) -> float:
+    """``origin_tol``, ``tol`` when None, once both are checked."""
+    origin_tol = tol if origin_tol is None else origin_tol
+    _check_tolerances(tol=tol, origin_tol=origin_tol)
+    return origin_tol
+
+
 def segment_incidence(a0, a1, b0, b1, tol: float):
     """Classify the incidence between two bare segments.
 
@@ -346,8 +394,7 @@ def count_intersections(trajectories, tol: float = 1e-6, origin_tol: float | Non
     around the golden point, the zero vector every trajectory passes
     through, inside which contacts are expected and not counted.
     """
-    origin_tol = tol if origin_tol is None else origin_tol
-    _check_tolerances(tol=tol, origin_tol=origin_tol)
+    origin_tol = _origin_tol(tol, origin_tol)
     trajectories = list(trajectories)
     if len(trajectories) < 2:
         return 0, []
@@ -378,6 +425,30 @@ def count_intersections(trajectories, tol: float = 1e-6, origin_tol: float | Non
     return len(records), records
 
 
+def _count_in_blocks(magnitudes, omegas, config: FaultConfig, tol, origin_tol) -> np.ndarray:
+    """Intersection counts of the rows of ``omegas`` (vectors, n), in blocks.
+
+    Each block of B vectors is one call ``magnitudes(frequencies)``, which
+    returns the ensemble's (1 + faults, B * n) dB array at the block's
+    frequencies taken row by row, then one incidence pass. A block's
+    box-test matrices hold at most ``_BOX_ENTRIES`` entries (one vector at
+    least). The tolerances must be checked already.
+    """
+    n = omegas.shape[1]
+    targets, segments, n_below = len(config.targets), len(config.deviations()), config.n_below
+    pairs = _cross_pairs((segments,) * targets, (n_below,) * targets)
+    step = max(1, _BOX_ENTRIES // (targets * segments) ** 2)
+    counts = []
+    for start in range(0, len(omegas), step):
+        block = omegas[start : start + step]
+        stack = _signature_stack(magnitudes(block.ravel()), targets, n_below, n)
+        p0 = stack[:, :, :-1].reshape(len(block), -1, n)
+        p1 = stack[:, :, 1:].reshape(len(block), -1, n)
+        hits = _incidences(p0, p1, pairs, tol, origin_tol)[0]
+        counts.append(np.bincount(hits, minlength=len(block)))
+    return np.concatenate(counts)
+
+
 def intersection_counts(
     circuit: Circuit, config: FaultConfig, vectors, tol=1e-6, origin_tol=None
 ) -> np.ndarray:
@@ -390,28 +461,75 @@ def intersection_counts(
     incidence pass, so memory does not grow with the number of vectors,
     and no count depends on the blocking.
     """
-    origin_tol = tol if origin_tol is None else origin_tol
-    _check_tolerances(tol=tol, origin_tol=origin_tol)
+    origin_tol = _origin_tol(tol, origin_tol)
     if not vectors:
         raise ValueError("need at least one test vector")
     n = len(vectors[0].frequencies)
     if any(len(tv.frequencies) != n for tv in vectors):
         raise ValueError("test vectors must all have the same number of frequencies")
     omegas = np.array([tv.frequencies for tv in vectors])
-    ensemble = ensemble_for(circuit, config)
-    targets, segments, n_below = len(config.targets), len(config.deviations()), config.n_below
-    pairs = _cross_pairs((segments,) * targets, (n_below,) * targets)
-    step = max(1, _BOX_ENTRIES // (targets * segments) ** 2)
-    counts = []
-    for start in range(0, len(omegas), step):
-        block = omegas[start : start + step]
-        mags = ensemble.magnitudes(block.ravel())
-        stack = _signature_stack(mags, targets, n_below, n)
-        p0 = stack[:, :, :-1].reshape(len(block), -1, n)
-        p1 = stack[:, :, 1:].reshape(len(block), -1, n)
-        hits = _incidences(p0, p1, pairs, tol, origin_tol)[0]
-        counts.append(np.bincount(hits, minlength=len(block)))
-    return np.concatenate(counts)
+    magnitudes = ensemble_for(circuit, config).magnitudes
+    return _count_in_blocks(magnitudes, omegas, config, tol, origin_tol)
+
+
+class _ColumnStore:
+    """Ensemble dB columns by frequency: the ``magnitudes`` of a GA run.
+
+    Called with a block's frequencies, it returns their (1 + faults, K)
+    columns and solves, in one ``solve`` call, only the frequencies it
+    holds no column for. A call that raises ``SimulationError`` is split
+    in halves down to the failing frequencies, which go to :attr:`failed`
+    with their error and get zero columns; each frequency is its own LU,
+    so no other column changes. Columns are copied into one table of at
+    most ``_STORE_VALUES`` values, so no solve's array stays alive; past
+    the cap a column serves its block and is dropped. :meth:`keep` drops
+    the frequencies of vectors that left the population and moves the
+    rest to the table's left end.
+    """
+
+    def __init__(self, solve, rows: int):
+        self._solve = solve
+        self._rows = rows
+        # one allocation at the cap, filled from the left: pages that no
+        # column reaches are usually never backed by memory
+        self._table = np.empty((rows, _STORE_VALUES // rows))
+        self._slots: dict[float, int] = {}
+        self.failed: dict[float, SimulationError] = {}
+
+    def keep(self, frequencies) -> None:
+        """Forget every column and failure not at one of ``frequencies``."""
+        kept = self._slots.keys() & frequencies
+        self._table[:, : len(kept)] = self._table[:, [self._slots[f] for f in kept]]
+        self._slots = dict(zip(kept, range(len(kept))))
+        self.failed = {f: e for f, e in self.failed.items() if f in frequencies}
+
+    def __call__(self, omegas) -> np.ndarray:
+        keys = omegas.tolist()
+        slots = self._slots
+        new = [f for f in dict.fromkeys(keys) if f not in slots]
+        source, lookup = self._table, slots
+        if new:
+            mags = self._solve_each(new)
+            used = len(slots)
+            fit = min(len(new), self._table.shape[1] - used)
+            self._table[:, used : used + fit] = mags[:, :fit]
+            slots.update(zip(new[:fit], range(used, used + fit)))
+            if fit < len(new):
+                source = np.concatenate([source[:, : used + fit], mags[:, fit:]], axis=1)
+                lookup = slots | dict(zip(new[fit:], itertools.count(used + fit)))
+        return source.take([lookup[f] for f in keys], axis=1)
+
+    def _solve_each(self, omegas: list[float]) -> np.ndarray:
+        try:
+            return self._solve(np.array(omegas))
+        except SimulationError as exc:
+            if len(omegas) == 1:
+                self.failed[omegas[0]] = exc
+                return np.zeros((self._rows, 1))
+            half = len(omegas) // 2
+            return np.concatenate(
+                [self._solve_each(omegas[:half]), self._solve_each(omegas[half:])], axis=1
+            )
 
 
 def write_trajectories_csv(path, trajectories) -> None:

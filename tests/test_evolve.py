@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from trajdiag import evolve
+from trajdiag import evolve, trajectory
 from trajdiag.errors import ConfigError, SimulationError
 from trajdiag.evolve import (
     Chromosome,
@@ -18,7 +18,12 @@ from trajdiag.evolve import (
 )
 from trajdiag.faultlib import FaultConfig, FaultEnsemble
 from trajdiag.netlist import parse_netlist
-from trajdiag.trajectory import TestVector, build_trajectories, count_intersections
+from trajdiag.trajectory import (
+    TestVector,
+    build_trajectories,
+    count_intersections,
+    intersection_counts,
+)
 
 SMALL = dict(population_size=12, generations=3)
 
@@ -260,6 +265,14 @@ def test_ga_log_csv(tmp_path, biquad, biquad_faults):
 # ---------------------------------------------------------------- batched scoring
 
 
+def _rows(vectors):
+    return [list(tv.frequencies) for tv in vectors]
+
+
+def _score(vectors, circuit, config):
+    return _counts(_rows(vectors), evolve._store(circuit, config), config, 1e-6, 1e-6)
+
+
 def test_batched_scores_equal_single_vector_fitness(biquad, biquad_faults):
     rng = np.random.default_rng(8)
     for n in (1, 2, 3):
@@ -267,33 +280,45 @@ def test_batched_scores_equal_single_vector_fitness(biquad, biquad_faults):
             TestVector(tuple((10.0 ** rng.uniform(-2.0, 2.0, n)).tolist()))
             for _ in range(11)
         ]
-        batched = _counts(vectors, biquad, biquad_faults, 1e-6, None)
+        batched = _score(vectors, biquad, biquad_faults)
         single = [fitness(tv, biquad, biquad_faults, 1e-6) for tv in vectors]
         assert [fitness_from_intersections(count) for count in batched] == single
+
+
+def _failing_at(bad, monkeypatch, calls=None):
+    """Make every ensemble solve that includes frequency ``bad`` raise."""
+    original = FaultEnsemble.magnitudes
+
+    def failing(self, omegas):
+        omegas = np.asarray(omegas)
+        if calls is not None:
+            calls.append(omegas.tolist())
+        if bad in omegas:
+            raise SimulationError("injected failure")
+        return original(self, omegas)
+
+    monkeypatch.setattr(FaultEnsemble, "magnitudes", failing)
 
 
 def test_batch_failure_scores_only_the_failing_vector(
     biquad, biquad_faults, monkeypatch, caplog
 ):
+    # the failing frequency sits in two vectors, at different positions
     bad = 0.777
     vectors = [TestVector((0.3 + 0.2 * k, 1.7)) for k in range(7)]
     vectors[2] = TestVector((bad, 1.7))
+    vectors[5] = TestVector((1.3, bad))
     expected = [fitness(tv, biquad, biquad_faults, 1e-6) for tv in vectors]
-    original = FaultEnsemble.magnitudes
-
-    def failing_at_bad(self, omegas):
-        if bad in np.asarray(omegas):
-            raise SimulationError("injected failure")
-        return original(self, omegas)
-
-    monkeypatch.setattr(FaultEnsemble, "magnitudes", failing_at_bad)
+    _failing_at(bad, monkeypatch)
     with caplog.at_level("WARNING"):
-        counts = _counts(vectors, biquad, biquad_faults, 1e-6, None)
-    assert counts[2] is None
-    scores = [fitness_from_intersections(count) for count in counts[:2] + counts[3:]]
-    assert scores == expected[:2] + expected[3:]
+        counts = _score(vectors, biquad, biquad_faults)
+    assert [counts[2], counts[5]] == [None, None]
+    others = [k for k in range(7) if k not in (2, 5)]
+    assert [fitness_from_intersections(counts[k]) for k in others] == [
+        expected[k] for k in others
+    ]
     warnings = [m for m in caplog.messages if "fitness=0" in m]
-    assert len(warnings) == 1 and str(bad) in warnings[0]
+    assert len(warnings) == 2 and all(str(bad) in m for m in warnings)
 
 
 def test_batch_failure_bisects_to_the_failing_vector(
@@ -304,28 +329,22 @@ def test_batch_failure_bisects_to_the_failing_vector(
         TestVector(tuple((10.0 ** rng.uniform(-2.0, 2.0, 2)).tolist())) for _ in range(128)
     ]
     bad = vectors[77].frequencies[1]
-    expected = evolve.intersection_counts(biquad, biquad_faults, vectors).tolist()
-    original_magnitudes = FaultEnsemble.magnitudes
-    original_counts = evolve.intersection_counts
+    expected = intersection_counts(biquad, biquad_faults, vectors).tolist()
     calls = []
-
-    def failing_at_bad(self, omegas):
-        if bad in np.asarray(omegas):
-            raise SimulationError("injected failure")
-        return original_magnitudes(self, omegas)
-
-    def counting(circuit, fault_config, batch, tol, origin_tol):
-        calls.append(len(batch))
-        return original_counts(circuit, fault_config, batch, tol, origin_tol)
-
-    monkeypatch.setattr(FaultEnsemble, "magnitudes", failing_at_bad)
-    monkeypatch.setattr(evolve, "intersection_counts", counting)
+    _failing_at(bad, monkeypatch, calls)
+    # all 128 vectors in one block, so F = 256 frequencies meet one failure
+    segments = len(biquad_faults.targets) * len(biquad_faults.deviations())
+    monkeypatch.setattr(trajectory, "_BOX_ENTRIES", 128 * segments**2)
     with caplog.at_level("WARNING"):
-        counts = _counts(vectors, biquad, biquad_faults, 1e-6, None)
+        counts = _score(vectors, biquad, biquad_faults)
     assert counts[77] is None
     assert counts[:77] + counts[78:] == expected[:77] + expected[78:]
     assert len([m for m in caplog.messages if "fitness=0" in m]) == 1
-    assert calls[0] == 128 and len(calls) <= 2 * 7 + 1
+    # one call on all 256, then halves down to the failing frequency: at
+    # most 2 log2(F) + 1 calls, and every other frequency solved once
+    assert len(calls[0]) == 256 and len(calls) <= 2 * 8 + 1
+    solved = [f for call in calls if bad not in call for f in call]
+    assert sorted(solved) == sorted(f for tv in vectors for f in tv.frequencies if f != bad)
 
 
 def test_run_ga_scores_each_distinct_vector_once(
@@ -333,24 +352,54 @@ def test_run_ga_scores_each_distinct_vector_once(
 ):
     config = GaConfig(seed=88, **SMALL)
     _, expected = run_ga(biquad, biquad_faults, config)
-    batches = []
-    original = evolve.intersection_counts
+    scored, solved = [], []
+    original_count = evolve._count_in_blocks
+    original_solve = FaultEnsemble.magnitudes
 
-    def recording(circuit, fault_config, vectors, tol, origin_tol):
-        batches.append([tv.frequencies for tv in vectors])
-        return original(circuit, fault_config, vectors, tol, origin_tol)
+    def counting(magnitudes, omegas, *args):
+        scored.append([tuple(row) for row in omegas.tolist()])
+        return original_count(magnitudes, omegas, *args)
 
-    monkeypatch.setattr(evolve, "intersection_counts", recording)
+    def solving(self, omegas):
+        solved.extend(np.asarray(omegas).tolist())
+        return original_solve(self, omegas)
+
+    monkeypatch.setattr(evolve, "_count_in_blocks", counting)
+    monkeypatch.setattr(FaultEnsemble, "magnitudes", solving)
     with caplog.at_level(logging.DEBUG, logger="trajdiag.evolve"):
         _, log = run_ga(biquad, biquad_faults, config)
     assert log == expected
-    scored = [freqs for batch in batches for freqs in batch]
-    assert len(scored) == len(set(scored))
+    vectors = [row for call in scored for row in call]
+    assert len(vectors) == len(set(vectors))
     # one scoring call per generation that has unseen vectors
     unique = [
         int(m.split(", ")[1].split()[0]) for m in caplog.messages if m.startswith("generation ")
     ]
-    assert [len(batch) for batch in batches] == [k for k in unique if k]
+    assert [len(call) for call in scored] == [k for k in unique if k]
+    # a frequency is solved once, though crossover reuses it in later vectors
+    assert len(solved) == len(set(solved)) < sum(len(row) for row in vectors)
+    assert set(solved) == {f for row in vectors for f in row}
+
+
+@pytest.mark.parametrize("columns", [0, 3])
+def test_run_ga_store_cap(biquad, biquad_faults, monkeypatch, columns):
+    config = GaConfig(seed=88, **SMALL)
+    _, expected = run_ga(biquad, biquad_faults, config)
+    cap = columns * (1 + len(biquad_faults.faults))
+    held = []
+    original = trajectory._ColumnStore.__call__
+
+    def watched(self, omegas):
+        result = original(self, omegas)
+        held.append(len(self._slots) * self._rows)
+        assert self._table.size <= cap
+        return result
+
+    monkeypatch.setattr(trajectory, "_STORE_VALUES", cap)
+    monkeypatch.setattr(trajectory._ColumnStore, "__call__", watched)
+    _, log = run_ga(biquad, biquad_faults, config)
+    assert log == expected
+    assert held and max(held) == cap
 
 
 def test_run_ga_debug_counters(biquad, biquad_faults, caplog):

@@ -237,6 +237,29 @@ def test_ensemble_matches_direct_solves():
         assert np.max(np.abs(mags - 20.0 * np.log10(np.abs(reference)))) <= 1e-9, seed
 
 
+def test_ensemble_columns_do_not_depend_on_their_batch(biquad):
+    # a frequency's column is the same bit for bit whether it is solved
+    # alone, with others, in another order or across solve blocks; the GA
+    # keeps columns by frequency and reuses them in other batches
+    from trajdiag.acsim import _BLOCK_ENTRIES, MnaSystem
+    from trajdiag.faultlib import FaultEnsemble
+
+    rng = np.random.default_rng(3300)
+    ladder = parse_netlist(random_rlc_vcvs_netlist(np.random.default_rng(0)))
+    for circuit in (biquad, ladder):
+        config = FaultConfig(circuit.passive_ids())
+        ensemble = FaultEnsemble(circuit, config)
+        size = MnaSystem(circuit).size
+        per_block = _BLOCK_ENTRIES // (size * (size + 1 + len(config.targets)))
+        for count in (2, 7, per_block + 1, 2 * per_block + 5):
+            omegas = 10.0 ** rng.uniform(-2.0, 2.0, count)
+            whole = ensemble.magnitudes(omegas)
+            order = rng.permutation(count)
+            np.testing.assert_array_equal(ensemble.magnitudes(omegas[order]), whole[:, order])
+            for k, omega in enumerate(omegas.tolist()):
+                np.testing.assert_array_equal(ensemble.magnitudes([omega])[:, 0], whole[:, k])
+
+
 def test_evaluate_at_matches_ensemble_row(biquad, biquad_faults):
     # a query and its own trajectory point must coincide exactly: classify's
     # perpendicular test is exact, so one ulp would move the ranking

@@ -441,6 +441,30 @@ def test_intersection_counts_memory_does_not_grow_with_vectors(biquad, biquad_fa
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+def _triangle_cross_pairs(segments, origins):
+    """The ``_cross_pairs`` arrays from np.triu_indices over all segment pairs."""
+    traj_of = np.repeat(np.arange(len(segments)), segments)
+    local = np.concatenate([np.arange(k) for k in segments])
+    origin_of = np.repeat(origins, segments)
+    at_origin = (local == origin_of - 1) | (local == origin_of)
+    first, second = np.triu_indices(len(traj_of), 1)
+    keep = traj_of[first] != traj_of[second]
+    first, second = first[keep], second[keep]
+    shared = np.flatnonzero(at_origin[first] & at_origin[second])
+    return first, second, shared, first * len(traj_of) + second
+
+
+@pytest.mark.parametrize(
+    "segments,origins",
+    [((1, 1), (0, 0)), ((8,) * 7, (4,) * 7), ((3, 1, 5, 2), (0, 1, 5, 1)), ((2, 6), (2, 3))],
+)
+def test_cross_pairs_match_the_triangle_construction(segments, origins):
+    got = trajectory._cross_pairs(segments, origins)
+    for array, want in zip(got, _triangle_cross_pairs(segments, origins)):
+        np.testing.assert_array_equal(array, want)
+        assert not array.flags.writeable
+
+
 # ------------------------------------------------- shared-origin shortcut
 
 
