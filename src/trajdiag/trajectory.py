@@ -482,17 +482,15 @@ class _ColumnStore:
     with their error and get zero columns; each frequency is its own LU,
     so no other column changes. Columns are copied into one table of at
     most ``_STORE_VALUES`` values, so no solve's array stays alive; past
-    the cap a column serves its block and is dropped. :meth:`keep` drops
-    the frequencies of vectors that left the population and moves the
-    rest to the table's left end.
+    the cap a column serves its block and is dropped. The table doubles
+    as it fills, up to the cap. :meth:`keep` drops the frequencies of
+    vectors that left the population and moves the rest to its left end.
     """
 
     def __init__(self, solve, rows: int):
         self._solve = solve
         self._rows = rows
-        # one allocation at the cap, filled from the left: pages that no
-        # column reaches are usually never backed by memory
-        self._table = np.empty((rows, _STORE_VALUES // rows))
+        self._table = np.empty((rows, 0))
         self._slots: dict[float, int] = {}
         self.failed: dict[float, SimulationError] = {}
 
@@ -507,16 +505,21 @@ class _ColumnStore:
         keys = omegas.tolist()
         slots = self._slots
         new = [f for f in dict.fromkeys(keys) if f not in slots]
+        if not new:
+            return self._table.take([slots[f] for f in keys], axis=1)
+        mags = self._solve_each(new)
+        used, room = len(slots), _STORE_VALUES // self._rows
+        fit = max(0, min(len(new), room - used))
+        if used + fit > self._table.shape[1]:
+            grown = np.empty((self._rows, min(room, max(used + fit, 2 * used))))
+            grown[:, :used] = self._table[:, :used]
+            self._table = grown
+        self._table[:, used : used + fit] = mags[:, :fit]
+        slots.update(zip(new[:fit], range(used, used + fit)))
         source, lookup = self._table, slots
-        if new:
-            mags = self._solve_each(new)
-            used = len(slots)
-            fit = min(len(new), self._table.shape[1] - used)
-            self._table[:, used : used + fit] = mags[:, :fit]
-            slots.update(zip(new[:fit], range(used, used + fit)))
-            if fit < len(new):
-                source = np.concatenate([source[:, : used + fit], mags[:, fit:]], axis=1)
-                lookup = slots | dict(zip(new[fit:], itertools.count(used + fit)))
+        if fit < len(new):
+            source = np.concatenate([source[:, : used + fit], mags[:, fit:]], axis=1)
+            lookup = slots | dict(zip(new[fit:], itertools.count(used + fit)))
         return source.take([lookup[f] for f in keys], axis=1)
 
     def _solve_each(self, omegas: list[float]) -> np.ndarray:
