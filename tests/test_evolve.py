@@ -265,12 +265,9 @@ def test_ga_log_csv(tmp_path, biquad, biquad_faults):
 # ---------------------------------------------------------------- batched scoring
 
 
-def _rows(vectors):
-    return [list(tv.frequencies) for tv in vectors]
-
-
 def _score(vectors, circuit, config):
-    return _counts(_rows(vectors), evolve._store(circuit, config), config, 1e-6, 1e-6)
+    rows = [list(tv.frequencies) for tv in vectors]
+    return _counts(rows, evolve._store(circuit, config), config, 1e-6, 1e-6)
 
 
 def test_batched_scores_equal_single_vector_fitness(biquad, biquad_faults):
