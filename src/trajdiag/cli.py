@@ -166,7 +166,7 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text())
+            loaded = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
@@ -207,8 +207,17 @@ def _coerce(kind, value):
     return tuple(str(v) for v in value)
 
 
+def _read_text(path: Path) -> str:
+    """The text of a file the user named; ``ConfigError`` naming it if it
+    cannot be read or is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
 def _load_circuit(config: RunConfig):
-    return parse_netlist(Path(config.netlist).read_text())
+    return parse_netlist(_read_text(Path(config.netlist)))
 
 
 def _fault_config(config: RunConfig, circuit, pairs: bool = False) -> FaultConfig:
@@ -231,7 +240,10 @@ def _fault_config(config: RunConfig, circuit, pairs: bool = False) -> FaultConfi
 
 def _outdir(config: RunConfig) -> Path:
     out = Path(config.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"config field 'outdir': cannot create {out}: {exc}") from None
     return out
 
 
@@ -286,7 +298,7 @@ def _load_best_vector(config: RunConfig) -> TestVector:
     if not path.is_file():
         raise ConfigError(f"missing {path}; run 'optimize' first")
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     unit = payload.get("unit", config.unit) if isinstance(payload, dict) else config.unit
@@ -498,6 +510,10 @@ def main(argv=None) -> int:
         return 1
     except MemoryError:
         print(f"error: out of memory running '{args.command}'", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an output file could not be written
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -24,18 +24,19 @@ One numpy kernel serves every counting entry point. Its broad phase
 keeps only the segment pairs whose axis-aligned boxes, grown by twice
 the tolerance, touch on every axis (the box test of sweep-and-prune, run
 as one boolean matrix over all segment pairs, with a comparison that
-stays conservative under rounding). A pair whose segments both end at
-the golden point meets there unless the two overlap, and that contact
-is discarded, so such a pair goes on only if it could be parallel. The
-closed-form closest-point test then runs on the survivors alone, about
-8% of the 1344 cross-trajectory pairs of a random 2-frequency biquad
-vector (5% at 3 frequencies, 20% at 1, where every pair is collinear).
-One loop feeds the kernel blocks of test vectors whose box-test
-matrices hold at most ``_BOX_ENTRIES`` entries, so its memory does not
-grow with the number of vectors. It takes each block's magnitudes from
-a callable: :func:`intersection_counts` passes the ensemble's solve, and
-the GA passes a run-local store of dB columns by frequency, which
-solves only the frequencies it does not hold yet.
+stays conservative under rounding). A layout's cross-trajectory pairs
+are cached as one index each, the pair's flat position in that matrix.
+A pair whose segments both end at the golden point meets there unless
+the two overlap, and that contact is discarded, so such a pair goes on
+only if it could be parallel. The closed-form closest-point test then
+runs on the survivors alone, about 8% of the 1344 cross-trajectory
+pairs of a random 2-frequency biquad vector (5% at 3 frequencies, 20%
+at 1, where every pair is collinear). One loop feeds the kernel blocks
+of test vectors whose box-test matrices hold at most ``_BOX_ENTRIES``
+entries, so its memory does not grow with the number of vectors. It
+takes each block's magnitudes from a callable: :func:`intersection_counts`
+passes the ensemble's solve, and the GA passes a run-local dict of dB
+columns by frequency, which solves only the frequencies it lacks.
 """
 
 from __future__ import annotations
@@ -197,35 +198,24 @@ def _ratio(num, den):
 
 @functools.lru_cache(maxsize=2)
 def _cross_pairs(segments: tuple[int, ...], origins: tuple[int, ...]):
-    """Segment index pairs ``i < j`` that belong to different trajectories.
+    """Segment pairs ``i < j`` that belong to different trajectories.
 
     ``segments`` gives each trajectory's segment count and ``origins`` the
     index of its origin point, the row at deviation 0; segments are
-    numbered trajectory by trajectory. Returns ``(first, second, shared,
-    flat)``: the pairs, the indices of the pairs whose segments both have
-    an endpoint at their trajectory's origin point, and each pair's position
-    ``first * S + second`` in an (S, S) matrix of all S segments. The pairs
-    are written row by row of that matrix's upper triangle: a segment's
-    partners are all the segments of later trajectories, so no index array
-    over all S^2 pairs is built. The arrays are cached for the last two
-    layouts and read-only.
+    numbered trajectory by trajectory. Returns ``(flat, shared)``: each
+    pair's position ``i * S + j`` in an (S, S) matrix of all S segments,
+    ascending, and the indices into ``flat`` of the pairs whose segments
+    both have an endpoint at their trajectory's origin point. A pair's
+    ``(i, j)`` is ``divmod(flat[pair], S)``. Only (S, S) boolean matrices
+    are built on the way. The arrays are cached for the last two layouts
+    and read-only.
     """
-    sizes = np.asarray(segments, dtype=np.intp)
-    ends = np.cumsum(sizes)
-    total = int(ends[-1])
-    first = np.empty(int(sizes @ (total - ends)), dtype=np.intp)
-    second = np.empty_like(first)
-    start = 0
-    for size, end in zip(sizes.tolist(), ends.tolist()):
-        rows = slice(start, start + size * (total - end))
-        first[rows].reshape(size, -1)[:] = np.arange(end - size, end)[:, None]
-        second[rows].reshape(size, -1)[:] = np.arange(end, total)
-        start = rows.stop
+    owner = np.repeat(np.arange(len(segments)), segments)
     local = np.concatenate([np.arange(k) for k in segments])
     origin_of = np.repeat(origins, segments)
     at_origin = (local == origin_of - 1) | (local == origin_of)
-    shared = np.flatnonzero(at_origin[first] & at_origin[second])
-    pairs = first, second, shared, first * total + second
+    cross = owner[:, None] < owner[None, :]
+    pairs = np.flatnonzero(cross), np.flatnonzero(np.outer(at_origin, at_origin)[cross])
     for array in pairs:
         array.flags.writeable = False
     return pairs
@@ -261,42 +251,41 @@ def _boxes_touch(p0, p1, flat, tol):
 def _incidences(p0, p1, pairs, tol, origin_tol=None):
     """Incident segment pairs of a batch of segment sets, all in numpy.
 
-    ``p0, p1``: (B, S, n) segment endpoints; ``pairs``: the
-    ``(first, second, shared, flat)`` arrays of :func:`_cross_pairs` for
-    the pairs to test. A pair is incident when its clamped closest-point
-    distance is below ``tol``. Parallel pairs with a positive common
-    length are overlaps (point: middle of the common part); the rest are
-    crosses (point: an endpoint the two share, else the exact 2-D
-    crossing, else midway between the closest points). With
-    ``origin_tol`` set, contacts lying wholly within ``origin_tol`` of
-    the golden point, the zero vector, are dropped.
+    ``p0, p1``: (B, S, n) segment endpoints; ``pairs``: the ``(flat,
+    shared)`` arrays of :func:`_cross_pairs` for the pairs to test. A pair
+    is incident when its clamped closest-point distance is below ``tol``.
+    Parallel pairs with a positive common length are overlaps (point:
+    middle of the common part); the rest are crosses (point: an endpoint
+    the two share, else the exact 2-D crossing, else midway between the
+    closest points). With ``origin_tol`` set, contacts lying wholly within
+    ``origin_tol`` of the golden point, the zero vector, are dropped.
 
     A broad phase runs first: only the pairs that pass
     :func:`_boxes_touch` go on. With ``origin_tol`` set, a ``shared`` pair
     (both segments end at the exact zero point) that does not overlap
     meets only there, where the origin rule drops it; so such a pair goes
     on only if it could be parallel, by a bound 1000 times looser than
-    the closest-point test's own. The
-    closest-point test then runs on point-major (K, n) rows of the
-    survivors, gathered from the flattened (B * S, n) endpoints, with the
-    same arithmetic as a pass over all pairs.
+    the closest-point test's own. The closest-point test then runs on
+    point-major (K, n) rows of the survivors, whose segments ``(i, j)``
+    are ``divmod(flat[pair], S)``, gathered from the flattened (B * S, n)
+    endpoints, with the same arithmetic as a pass over all pairs.
 
     Returns ``(batch, pair, overlap, point)`` of the kept incidences in
     (batch, pair) order; ``overlap`` is False for a cross.
     """
-    first, second, shared, flat = pairs
+    flat, shared = pairs
     size = p0.shape[1]
     near = _boxes_touch(p0, p1, flat, tol)
     step = p1 - p0
     if origin_tol is not None:
-        u, v = step.take(first[shared], axis=1), step.take(second[shared], axis=1)
+        u, v = (step.take(k, axis=1) for k in np.divmod(flat[shared], size))
         uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
         parallel = uu * vv - uv * uv <= 1e-9 * uu * vv
         near[:, shared] &= (uu > 0.0) & (vv > 0.0) & parallel
     batch, pair = np.nonzero(near)
 
     # gather the survivors' rows from the flattened (B * S, n) endpoints
-    row_i, row_j = batch * size + first[pair], batch * size + second[pair]
+    row_i, row_j = (batch * size + k for k in np.divmod(flat[pair], size))
     p0, p1, step = (x.reshape(-1, x.shape[-1]) for x in (p0, p1, step))
     a0, b0 = p0.take(row_i, axis=0), p0.take(row_j, axis=0)
     u, v = step.take(row_i, axis=0), step.take(row_j, axis=0)
@@ -411,16 +400,14 @@ def count_intersections(trajectories, tol: float = 1e-6, origin_tol: float | Non
     origins = tuple(int(np.flatnonzero(t.deviations == 0.0)[0]) for t in trajectories)
     pairs = _cross_pairs(segments, origins)
     _, pair, overlap, point = _incidences(p0[None], p1[None], pairs, tol, origin_tol)
-    first, second = pairs[:2]
+    first, second = np.divmod(pairs[0][pair], len(p0))
     names = [traj.component for traj in trajectories]
     records = [
         IncidenceRecord(
             names[traj_of[i]], int(seg_of[i]), names[traj_of[j]], int(seg_of[j]),
             OVERLAP if is_overlap else CROSS, tuple(rep),
         )
-        for i, j, is_overlap, rep in zip(
-            first[pair], second[pair], overlap.tolist(), point.tolist()
-        )
+        for i, j, is_overlap, rep in zip(first, second, overlap.tolist(), point.tolist())
     ]
     return len(records), records
 
@@ -480,47 +467,33 @@ class _ColumnStore:
     holds no column for. A call that raises ``SimulationError`` is split
     in halves down to the failing frequencies, which go to :attr:`failed`
     with their error and get zero columns; each frequency is its own LU,
-    so no other column changes. Columns are copied into one table of at
-    most ``_STORE_VALUES`` values, so no solve's array stays alive; past
-    the cap a column serves its block and is dropped. The table doubles
-    as it fills, up to the cap. :meth:`keep` drops the frequencies of
-    vectors that left the population and moves the rest to its left end.
+    so no other column changes. Each column is kept as its own copy, so
+    no solve's array stays alive, and at most ``_STORE_VALUES`` values are
+    kept; past the cap a column serves its block and is dropped.
+    :meth:`keep` drops the frequencies of vectors that left the population.
     """
 
     def __init__(self, solve, rows: int):
         self._solve = solve
         self._rows = rows
-        self._table = np.empty((rows, 0))
-        self._slots: dict[float, int] = {}
+        self._columns: dict[float, np.ndarray] = {}
         self.failed: dict[float, SimulationError] = {}
 
     def keep(self, frequencies) -> None:
         """Forget every column and failure not at one of ``frequencies``."""
-        kept = self._slots.keys() & frequencies
-        self._table[:, : len(kept)] = self._table[:, [self._slots[f] for f in kept]]
-        self._slots = dict(zip(kept, range(len(kept))))
+        self._columns = {f: c for f, c in self._columns.items() if f in frequencies}
         self.failed = {f: e for f, e in self.failed.items() if f in frequencies}
 
     def __call__(self, omegas) -> np.ndarray:
         keys = omegas.tolist()
-        slots = self._slots
-        new = [f for f in dict.fromkeys(keys) if f not in slots]
-        if not new:
-            return self._table.take([slots[f] for f in keys], axis=1)
-        mags = self._solve_each(new)
-        used, room = len(slots), _STORE_VALUES // self._rows
-        fit = max(0, min(len(new), room - used))
-        if used + fit > self._table.shape[1]:
-            grown = np.empty((self._rows, min(room, max(used + fit, 2 * used))))
-            grown[:, :used] = self._table[:, :used]
-            self._table = grown
-        self._table[:, used : used + fit] = mags[:, :fit]
-        slots.update(zip(new[:fit], range(used, used + fit)))
-        source, lookup = self._table, slots
-        if fit < len(new):
-            source = np.concatenate([source[:, : used + fit], mags[:, fit:]], axis=1)
-            lookup = slots | dict(zip(new[fit:], itertools.count(used + fit)))
-        return source.take([lookup[f] for f in keys], axis=1)
+        columns = self._columns
+        new = [f for f in dict.fromkeys(keys) if f not in columns]
+        if new:
+            fresh = dict(zip(new, (column.copy() for column in self._solve_each(new).T)))
+            room = _STORE_VALUES // self._rows - len(columns)
+            columns.update(itertools.islice(fresh.items(), room))
+            columns = columns | fresh
+        return np.array([columns[f] for f in keys]).T
 
     def _solve_each(self, omegas: list[float]) -> np.ndarray:
         try:

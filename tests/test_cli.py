@@ -750,6 +750,64 @@ def test_simulate_reproducible_bytes(tmp_path):
     ).read_bytes()
 
 
+# ---------------------------------------------------------------- user files
+
+
+def _one_error_line(capsys, fragment):
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and fragment in line, line
+    assert "Traceback" not in captured.out
+
+
+QUICK = ["--grid", 3, "--population-size", 4, "--generations", 0]
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+@pytest.mark.parametrize("below", [False, True])
+def test_outdir_that_is_not_a_directory_exit_2(tmp_path, capsys, command, below):
+    # an existing file as --outdir, or a path below one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    outdir = blocker / "x" if below else blocker
+    assert run([command, "--outdir", outdir, *QUICK]) == 2
+    _one_error_line(capsys, f"config field 'outdir': cannot create {outdir}: ")
+
+
+NOT_UTF8 = b"V1 in 0 1\n\xff\xfe\n"
+
+
+@pytest.mark.parametrize("which", ["netlist", "config", "best_vector.json"])
+def test_user_file_that_is_not_utf8_exit_2(tmp_path, capsys, which):
+    out = tmp_path / "out"
+    path = tmp_path / "bad"
+    command = ["simulate", "--outdir", out, f"--{which}", path, *QUICK]
+    if which == "best_vector.json":
+        out.mkdir()
+        path = out / which
+        command = ["diagnose", "--outdir", out, "--measured=0,0"]
+    path.write_bytes(NOT_UTF8)
+    assert run(command) == 2
+    _one_error_line(capsys, f"cannot read {path}: ")
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        (["simulate"], "dictionary.csv"),
+        (["optimize"], "ga_log.csv"),
+        (["diagnose", "--measured=0,0"], "diagnosis.csv"),
+        (["plot-data"], "trajectories.svg"),
+    ],
+)
+def test_output_that_cannot_be_written_exit_1(tmp_path, capsys, biquad, biquad_faults, command, name):
+    out = _plant_trajectories(tmp_path, biquad, biquad_faults)
+    plant_best_vector(out, ORACLE_VECTOR)
+    (out / name).mkdir()  # a directory where the file goes
+    assert run([*command, "--outdir", out, *QUICK]) == 1
+    _one_error_line(capsys, str(out / name))
+
+
 # ---------------------------------------------------------------- contract
 
 
@@ -769,6 +827,23 @@ def _assert_finite_outputs(out):
             assert math.isfinite(value), f"{vector.name}: {payload}"
 
 
+# config files for test_cli_contract: ones that load, then ones that must exit 2
+# (wrong-typed values of fields no flag there sets, an unknown key, no object)
+GOOD_CONFIGS = [None, "{}", '{"tol": 1e-06, "unit": "hz"}']
+UNFLAGGED = [
+    "unit", "f_min", "f_max", "range_low", "range_high", "reproduction_rate",
+    "mutation_rate", "tol", "origin_tol", "ambiguity_margin",
+]
+WRONG_VALUES = ["true", '"x"', "[1]", "null", "NaN", "Infinity", "-Infinity", "1e400"]
+CONFIGS = st.one_of(
+    st.sampled_from(GOOD_CONFIGS),
+    st.tuples(st.sampled_from(UNFLAGGED), st.sampled_from(WRONG_VALUES)).map(
+        lambda item: '{"%s": %s}' % item
+    ),
+    st.sampled_from(['{"no_such_field": 1}', "[]", '"x"', "1", "null", "true"]),
+)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -779,11 +854,16 @@ def _assert_finite_outputs(out):
     invalid=st.sampled_from([[], [], [], ["--step", 0.07], ["--grid", 0], ["--targets", "X9"]]),
     measurement=st.sampled_from(["inject", "measured", "wrong count"]),
     level=st.floats(-60.0, 60.0),
+    config=CONFIGS,
 )
-def test_cli_contract(seed, n_frequencies, grid, step, some_targets, invalid, measurement, level):
-    """Every command on a random netlist and small, partly invalid flags:
-    exit 0, 1 or 2; a failure prints one ``error:`` line; no exception or
-    RuntimeWarning escapes; every number written is finite."""
+def test_cli_contract(
+    seed, n_frequencies, grid, step, some_targets, invalid, measurement, level, config
+):
+    """Every command on a random netlist, small, partly invalid flags and
+    an optional config file, which may hold a wrong-typed value, an unknown
+    key or a top level that is no object: exit 0, 1 or 2; a failure prints
+    one ``error:`` line; no exception or RuntimeWarning escapes; every
+    number written is finite."""
     rng = np.random.default_rng(seed)
     text = random_rlc_vcvs_netlist(rng)
     passives = parse_netlist(text).passive_ids()
@@ -798,6 +878,9 @@ def test_cli_contract(seed, n_frequencies, grid, step, some_targets, invalid, me
         if some_targets:
             flags += ["--targets", ",".join(rng.choice(passives, 2, replace=False))]
         flags += invalid  # the last of a repeated flag wins
+        if config is not None:
+            (Path(scratch) / "run.json").write_text(config)
+            flags += ["--config", Path(scratch) / "run.json"]
         if measurement == "inject":
             query = ["--inject", f"{rng.choice(passives)}:{level / 200.0:+.3f}"]
         else:
@@ -813,7 +896,7 @@ def test_cli_contract(seed, n_frequencies, grid, step, some_targets, invalid, me
             if code:
                 [line] = stderr.getvalue().splitlines()
                 assert line.startswith("error: "), line
-            if invalid[:1] in (["--step"], ["--grid"]):
+            if invalid[:1] in (["--step"], ["--grid"]) or config not in GOOD_CONFIGS:
                 assert code == 2, command
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             if out.exists():

@@ -388,8 +388,8 @@ def test_run_ga_store_cap(biquad, biquad_faults, monkeypatch, columns):
 
     def watched(self, omegas):
         result = original(self, omegas)
-        held.append(len(self._slots) * self._rows)
-        assert self._table.size <= cap
+        held.append(len(self._columns) * self._rows)
+        assert held[-1] <= cap
         return result
 
     monkeypatch.setattr(trajectory, "_STORE_VALUES", cap)

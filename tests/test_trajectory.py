@@ -451,7 +451,7 @@ def _triangle_cross_pairs(segments, origins):
     keep = traj_of[first] != traj_of[second]
     first, second = first[keep], second[keep]
     shared = np.flatnonzero(at_origin[first] & at_origin[second])
-    return first, second, shared, first * len(traj_of) + second
+    return first * len(traj_of) + second, shared
 
 
 @pytest.mark.parametrize(
@@ -460,9 +460,23 @@ def _triangle_cross_pairs(segments, origins):
 )
 def test_cross_pairs_match_the_triangle_construction(segments, origins):
     got = trajectory._cross_pairs(segments, origins)
-    for array, want in zip(got, _triangle_cross_pairs(segments, origins)):
-        np.testing.assert_array_equal(array, want)
+    want = _triangle_cross_pairs(segments, origins)
+    assert len(got) == len(want)
+    for array, expected in zip(got, want):
+        np.testing.assert_array_equal(array, expected)
         assert not array.flags.writeable
+
+
+def test_cross_pairs_hold_one_index_per_pair():
+    segments = (400,) * 7
+    total = sum(segments)
+    pairs = (total * total - sum(k * k for k in segments)) // 2
+    shared = 21 * 2 * 2  # 21 trajectory pairs, two segments at each origin
+    try:
+        held = trajectory._cross_pairs(segments, (200,) * 7)
+        assert sum(array.nbytes for array in held) == (pairs + shared) * np.dtype(np.intp).itemsize
+    finally:
+        trajectory._cross_pairs.cache_clear()  # 27 MB otherwise kept for the process
 
 
 # ------------------------------------------------- shared-origin shortcut
@@ -474,8 +488,8 @@ def count_on_full_path(trajectories):
     cross_pairs = trajectory._cross_pairs
 
     def nothing_shared(segments, origins):
-        first, second, shared, flat = cross_pairs(segments, origins)
-        return first, second, shared[:0], flat
+        flat, shared = cross_pairs(segments, origins)
+        return flat, shared[:0]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trajectory, "_cross_pairs", nothing_shared)
