@@ -800,7 +800,9 @@ def test_user_file_that_is_not_utf8_exit_2(tmp_path, capsys, which):
         (["plot-data"], "trajectories.svg"),
     ],
 )
-def test_output_that_cannot_be_written_exit_1(tmp_path, capsys, biquad, biquad_faults, command, name):
+def test_output_that_cannot_be_written_exit_1(
+    tmp_path, capsys, biquad, biquad_faults, command, name
+):
     out = _plant_trajectories(tmp_path, biquad, biquad_faults)
     plant_best_vector(out, ORACLE_VECTOR)
     (out / name).mkdir()  # a directory where the file goes

@@ -476,7 +476,7 @@ def test_cross_pairs_hold_one_index_per_pair():
         held = trajectory._cross_pairs(segments, (200,) * 7)
         assert sum(array.nbytes for array in held) == (pairs + shared) * np.dtype(np.intp).itemsize
     finally:
-        trajectory._cross_pairs.cache_clear()  # 27 MB otherwise kept for the process
+        trajectory._cross_pairs.cache_clear()  # 25.6 MiB otherwise kept for the process
 
 
 # ------------------------------------------------- shared-origin shortcut
