@@ -250,9 +250,9 @@ def _outdir(config: RunConfig) -> Path:
 def cmd_simulate(config: RunConfig) -> int:
     circuit = _load_circuit(config)
     fault_config = _fault_config(config, circuit)
+    out = _outdir(config)
     user_grid = log_grid(config.f_min, config.f_max, config.grid)
     dictionary = build_dictionary(circuit, fault_config, user_grid * config.omega_scale)
-    out = _outdir(config)
     write_dictionary_csv(out / "dictionary.csv", dictionary, frequencies=user_grid)
     print(
         f"wrote {out / 'dictionary.csv'}: golden + {len(dictionary.magnitudes_db) - 1} faults "
@@ -264,11 +264,11 @@ def cmd_simulate(config: RunConfig) -> int:
 def cmd_optimize(config: RunConfig) -> int:
     circuit = _load_circuit(config)
     fault_config = _fault_config(config, circuit, pairs=True)
+    out = _outdir(config)
     scale = config.omega_scale
     best, log = run_ga(
         circuit, fault_config, config.ga, tol=config.tol, origin_tol=config.origin_tol
     )
-    out = _outdir(config)
     write_ga_log_csv(out / "ga_log.csv", log, frequency_scale=scale)
     payload = {
         "unit": config.unit,
@@ -277,7 +277,9 @@ def cmd_optimize(config: RunConfig) -> int:
         "intersections": log.best_intersections,
         "seed": log.seed,
     }
-    (out / "best_vector.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (out / "best_vector.json").write_text(
+        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+    )
     write_trajectories_csv(
         out / "trajectories.csv", build_trajectories(circuit, fault_config, best)
     )
@@ -314,6 +316,7 @@ def cmd_diagnose(config: RunConfig, measured: str | None, inject: str | None) ->
     circuit = _load_circuit(config)
     fault_config = _fault_config(config, circuit)
     tv = _load_best_vector(config)
+    out = _outdir(config)
     golden = evaluate_at(circuit, None, tv.frequencies)
 
     if measured is not None:
@@ -354,7 +357,6 @@ def cmd_diagnose(config: RunConfig, measured: str | None, inject: str | None) ->
         for h in result.hypotheses
     ):
         raise TrajdiagError("diagnose: the ranking is not finite")
-    out = _outdir(config)
     write_diagnosis_csv(out / "diagnosis.csv", result)
     print(format_report(result), end="")
     return 0
@@ -439,6 +441,8 @@ def cmd_plot_data(config: RunConfig, query: str | None) -> int:
         raise ConfigError(f"missing {path}; run 'optimize' first")
     try:
         trajectories = read_trajectories_csv(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if trajectories[0].dimension < 2:
@@ -455,7 +459,7 @@ def cmd_plot_data(config: RunConfig, query: str | None) -> int:
             raise ConfigError("--query: coordinates must be finite")
     svg = render_svg(trajectories, query_point)
     out = Path(config.outdir) / "trajectories.svg"
-    out.write_text(svg)
+    out.write_text(svg, encoding="utf-8")
     print(f"wrote {out}: {len(trajectories)} trajectories")
     return 0
 

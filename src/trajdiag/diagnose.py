@@ -143,7 +143,7 @@ def format_report(result: DiagnosisResult) -> str:
 
 def write_diagnosis_csv(path, result: DiagnosisResult) -> None:
     """``rank,component,distance_db,est_deviation,via_perpendicular`` rows."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("rank,component,distance_db,est_deviation,via_perpendicular\n")
         for rank, h in enumerate(result.hypotheses, start=1):
             fh.write(

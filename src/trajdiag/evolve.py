@@ -298,7 +298,7 @@ def write_ga_log_csv(path, log: GaLog, frequency_scale: float = 1.0) -> None:
     header = "generation,best_fitness,mean_fitness," + ",".join(
         f"best_f{i + 1}" for i in range(n)
     )
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for record in log.records:
             freqs = ",".join(

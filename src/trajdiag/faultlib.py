@@ -226,24 +226,164 @@ def build_dictionary(circuit: Circuit, config: FaultConfig, grid) -> FaultDictio
     return FaultDictionary(config, omegas, magnitudes)
 
 
+# Powers of ten up to 10^22 are exact doubles; fixed notation needs 10^0..10^20.
+_POW10 = np.array([float(10**p) for p in range(23)])
+_TEXT_WIDTH = 24  # the longest '%.17g' text: '-1.2345678901234567e-308'
+_CHUNK_VALUES = 2048  # values per written chunk: bounds the writer's working memory
+_LABEL = b"@"  # stands for the row's label in each line until the label goes in
+
+
+def _two_product(a, b):
+    """``(p, e)`` with ``p = fl(a * b)`` and ``p + e == a * b`` exactly
+    (Dekker's product on Veltkamp's split; no overflow for these inputs)."""
+
+    def split(v):
+        c = 134217729.0 * v  # 2^27 + 1
+        high = c - (c - v)
+        return high, v - high
+
+    p = a * b
+    ah, al = split(a)
+    bh, bl = split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+@lru_cache(maxsize=1)
+def _text_tables():
+    """The tables of :func:`_format_g17`, built on first use:
+
+    - ``groups``: the four ASCII digits of 0..9999, each as one uint32;
+    - ``trailing``: the trailing zeros of 0..9999 written with four digits;
+    - ``heads``: ``-0.`` and the leading digit 0..9, each as one uint32;
+    - ``layouts``: for each (sign, exponent -4..16, digits kept 1..17), the
+      source byte of each text byte. A value's 24 source bytes are ``-``,
+      ``0``, ``.``, its 17 digits and NULs;
+    - ``offsets``: each value's first source byte in a chunk.
+    """
+    n = np.arange(10_000)
+    digits = (n[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    trailing = np.zeros(10_000, np.intp)
+    for z in range(1, 5):
+        trailing[n % 10**z == 0] = z
+    heads = np.zeros((10, 4), np.uint8)
+    heads[:, :3] = np.frombuffer(b"-0.", np.uint8)
+    heads[:, 3] = digits[:10, 3]
+    layouts = np.full((2, 21, 17, _TEXT_WIDTH), 20, np.intp)
+    for negative in (0, 1):
+        for k in range(-4, 17):
+            for kept in range(1, 18):
+                source = [0] * negative
+                if k < 0:
+                    source += [1, 2, *[1] * (-k - 1), *range(3, 3 + kept)]
+                else:
+                    source += range(3, 4 + k)
+                    if kept > k + 1:
+                        source += [2, *range(4 + k, 3 + kept)]
+                layouts[negative, k + 4, kept - 1, : len(source)] = source
+    offsets = np.repeat(np.arange(_CHUNK_VALUES) * _TEXT_WIDTH, _TEXT_WIDTH)
+    return (
+        digits.view(np.uint32).ravel(),
+        trailing,
+        heads.view(np.uint32).ravel(),
+        layouts.reshape(-1, _TEXT_WIDTH),
+        offsets.reshape(_CHUNK_VALUES, _TEXT_WIDTH),
+    )
+
+
+def _format_g17(values) -> np.ndarray:
+    """``'%.17g' % x`` of each of at most ``_CHUNK_VALUES`` floats, as the
+    rows of a (values, 24) uint8 array, NUL-padded on the right.
+
+    A value with 1e-4 <= |x| < 1e17 prints in fixed notation. Its decimal
+    exponent ``k`` comes from ``log10``, checked exactly: the two-product
+    ``|x| 10^(16 - k) = hi + lo`` must lie in [1e16, 1e17). That product
+    rounded half to even gives the 17 digits, and the text is one gather
+    by the layout of (sign, k, digits before the trailing zeros). Every
+    other value (zeros, non-finite, the exponent forms) is formatted by
+    ``%`` itself.
+    """
+    groups, trailing, heads, layouts, offsets = _text_tables()
+    x = np.asarray(values, dtype=float).ravel()
+    magnitude = np.abs(x)
+    other = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e17)))
+    magnitude[other] = 1.0  # formatted by % below
+    k = np.clip(np.floor(np.log10(magnitude)), -4, 16).astype(np.intp)
+    hi, lo = _two_product(magnitude, _POW10[16 - k])
+    near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    if near.size:  # at a bound, or log10 off by one next to a power of ten
+        top, rest = hi[near], lo[near]
+        above = (top > 1e17) | ((top == 1e17) & (rest >= 0.0))
+        k[near] += above.astype(np.intp) - ((top < 1e16) | ((top == 1e16) & (rest < 0.0)))
+        hi[near], lo[near] = _two_product(magnitude[near], _POW10[16 - k[near]])
+    # hi >= 1e16 > 2^53 is an even whole number, so rounding lo half to
+    # even rounds hi + lo half to even
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # a carry to 10^17 raises k by one; k stays <= 16, as no double lies
+    # in [1e17 - 0.5, 1e17)
+    carry = d == 10**17
+    d[carry] = 10**16
+    k += carry
+    upper = d // 10**8
+    lower = d - upper * 10**8
+    lead = upper // 10**8
+    upper -= lead * 10**8
+    source = np.zeros((x.size, _TEXT_WIDTH // 4), np.uint32)
+    source[:, 0] = heads[lead]
+    dropped = np.zeros(x.size, np.intp)  # trailing zeros of d
+    first, third = upper // 10**4, lower // 10**4
+    quads = (first, upper - first * 10**4, third, lower - third * 10**4)
+    for column, group in enumerate(quads, start=1):
+        source[:, column] = groups[group]
+        dropped = trailing[group] + (group == 0) * dropped
+    code = (np.signbit(x) * 21 + k + 4) * 17 + 16 - dropped
+    gather = layouts.take(code, axis=0)
+    gather += offsets[: x.size]
+    text = source.view(np.uint8).ravel().take(gather)
+    for i in other.tolist():
+        chars = b"%.17g" % x[i]
+        text[i] = 0
+        text[i, : len(chars)] = np.frombuffer(chars, np.uint8)
+    return text
+
+
 def write_dictionary_csv(path, dictionary: FaultDictionary, frequencies=None) -> None:
     """``component,deviation,freq,mag_db`` rows; golden rows lead.
 
     ``frequencies`` replace the dictionary's in the freq column (the CLI
     writes the user's unit); a different count raises ``ValueError``.
-    Each row of the array is one ``%`` format of a per-row template, its
-    label joining the frequency columns: ``'%.17g' % x`` and
-    ``f'{x:.17g}'`` give the same text, and a label's own ``%`` is
-    escaped first.
+    Every number is ``'%.17g' % x``. The array goes out in chunks of at
+    most ``_CHUNK_VALUES`` values: a (rows, columns, line) byte buffer of
+    placeholder, freq and magnitude texts with NUL padding, which is
+    dropped, then each row's label replaces the placeholder. The file is
+    UTF-8.
     """
     freqs = np.asarray(dictionary.frequencies if frequencies is None else frequencies, float)
     if freqs.shape != dictionary.frequencies.shape:
         raise ValueError(f"need {len(dictionary.frequencies)} frequencies, got {freqs.size}")
-    columns = [f",{f:.17g},%.17g\n" for f in freqs.tolist()]
     specs = dictionary.config.faults
     labels = [f"{GOLDEN_LABEL},0", *(f"{s.component},{s.deviation:.17g}" for s in specs)]
-    with open(path, "w", newline="") as fh:
-        fh.write("component,deviation,freq,mag_db\n")
-        for label, row in zip(labels, dictionary.magnitudes_db):
-            label = label.replace("%", "%%")
-            fh.write((label + label.join(columns)) % tuple(row.tolist()))
+    labels = [label.encode("utf-8") for label in labels]
+    magnitudes = dictionary.magnitudes_db
+    width = min(max(freqs.size, 1), _CHUNK_VALUES)
+    height = _CHUNK_VALUES // width
+    freq_texts = [_format_g17(freqs[c : c + width]) for c in range(0, freqs.size, width)]
+    line = 4 + 2 * _TEXT_WIDTH  # placeholder , freq , magnitude \n
+    with open(path, "wb") as fh:
+        fh.write(b"component,deviation,freq,mag_db\n")
+        for r in range(0, len(magnitudes), height):
+            for c, freq_text in zip(range(0, freqs.size, width), freq_texts):
+                block = magnitudes[r : r + height, c : c + width]
+                lines = np.zeros((*block.shape, line), np.uint8)
+                lines[..., 0] = _LABEL[0]
+                lines[..., 1] = lines[..., 2 + _TEXT_WIDTH] = ord(",")
+                lines[..., 2 : 2 + _TEXT_WIDTH] = freq_text
+                lines[..., 3 + _TEXT_WIDTH : -1] = _format_g17(block).reshape(
+                    *block.shape, _TEXT_WIDTH
+                )
+                lines[..., -1] = ord("\n")
+                fh.write(
+                    b"".join(
+                        row.tobytes().translate(None, b"\0").replace(_LABEL, label)
+                        for row, label in zip(lines, labels[r : r + height])
+                    )
+                )

@@ -513,7 +513,7 @@ def write_trajectories_csv(path, trajectories) -> None:
     trajectories = list(trajectories)
     n = trajectories[0].dimension if trajectories else 0
     header = "component,deviation," + ",".join(f"x{i + 1}" for i in range(n))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for traj in trajectories:
             for deviation, coords in zip(traj.deviations.tolist(), traj.points.tolist()):
@@ -524,7 +524,7 @@ def write_trajectories_csv(path, trajectories) -> None:
 def read_trajectories_csv(path) -> list[Trajectory]:
     """Inverse of :func:`write_trajectories_csv`; every row must have as
     many fields as the header."""
-    with open(path, "r", newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if len(lines) < 2:
         raise ValueError(f"{path}: no trajectory data")

@@ -279,7 +279,7 @@ def reference_dictionary_csv(path, dictionary, frequencies=None):
     freqs = (
         dictionary.golden.frequencies if frequencies is None else tuple(frequencies)
     )
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("component,deviation,freq,mag_db\n")
         for f, m in zip(freqs, dictionary.golden.magnitudes_db):
             fh.write(f"{GOLDEN_LABEL},0,{f:.17g},{m:.17g}\n")

@@ -765,8 +765,10 @@ QUICK = ["--grid", 3, "--population-size", 4, "--generations", 0]
 
 @pytest.mark.parametrize("command", ["simulate", "optimize"])
 @pytest.mark.parametrize("below", [False, True])
-def test_outdir_that_is_not_a_directory_exit_2(tmp_path, capsys, command, below):
-    # an existing file as --outdir, or a path below one
+def test_outdir_that_is_not_a_directory_exit_2(tmp_path, capsys, monkeypatch, command, below):
+    # an existing file as --outdir, or a path below one: found before any work
+    for name in ("build_dictionary", "run_ga", "build_trajectories"):
+        monkeypatch.setattr(trajdiag.cli, name, _tripwire)
     blocker = tmp_path / "file"
     blocker.write_text("")
     outdir = blocker / "x" if below else blocker
@@ -777,18 +779,61 @@ def test_outdir_that_is_not_a_directory_exit_2(tmp_path, capsys, command, below)
 NOT_UTF8 = b"V1 in 0 1\n\xff\xfe\n"
 
 
-@pytest.mark.parametrize("which", ["netlist", "config", "best_vector.json"])
+# files read from --outdir, and the command that reads each
+OUTDIR_INPUTS = {
+    "best_vector.json": ["diagnose", "--measured=0,0"],
+    "trajectories.csv": ["plot-data"],
+}
+
+
+@pytest.mark.parametrize("which", ["netlist", "config", *OUTDIR_INPUTS])
 def test_user_file_that_is_not_utf8_exit_2(tmp_path, capsys, which):
     out = tmp_path / "out"
     path = tmp_path / "bad"
     command = ["simulate", "--outdir", out, f"--{which}", path, *QUICK]
-    if which == "best_vector.json":
+    if which in OUTDIR_INPUTS:
         out.mkdir()
         path = out / which
-        command = ["diagnose", "--outdir", out, "--measured=0,0"]
+        command = [*OUTDIR_INPUTS[which], "--outdir", out]
     path.write_bytes(NOT_UTF8)
     assert run(command) == 2
     _one_error_line(capsys, f"cannot read {path}: ")
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # a non-ASCII element id: the C locale without UTF-8 mode writes the
+    # same bytes as UTF-8 mode, and plot-data reads them back
+    netlist = tmp_path / "mu.cir"
+    netlist.write_text(
+        "V1 in 0 1\nR\u00b51 in a 1k\nC1 a 0 1u\nR2 a out 1k\nC2 out 0 1u\n"
+        ".input V1\n.output out\n",
+        encoding="utf-8",
+    )
+    files = {}
+    for utf8_mode in ("0", "1"):
+        out = tmp_path / f"utf8-mode-{utf8_mode}"
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(trajdiag.__file__).parents[1]),
+            "PYTHONCOERCECLOCALE": "0",
+            "LC_ALL": "C",
+            "PYTHONUTF8": utf8_mode,
+        }
+        for command in ("simulate", "optimize", "plot-data"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "trajdiag", command, "--netlist", str(netlist),
+                 "--outdir", str(out), *map(str, QUICK)],
+                capture_output=True, timeout=120, env=env,
+            )
+            assert proc.returncode == 0, (command, utf8_mode, proc.stderr)
+        files[utf8_mode] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert files["0"] == files["1"]
+    assert sorted(files["0"]) == [
+        "best_vector.json", "dictionary.csv", "ga_log.csv", "trajectories.csv",
+        "trajectories.svg",
+    ]
+    for name in ("dictionary.csv", "trajectories.csv", "trajectories.svg"):
+        assert "R\u00b51".encode() in files["0"][name], name
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ import trajdiag as td
 from trajdiag.acsim import ResponseCurve, log_grid, sweep
 from trajdiag.errors import ConfigError
 from trajdiag.faultlib import (
+    _CHUNK_VALUES,
+    _LABEL,
     FaultConfig,
     FaultDictionary,
     FaultSpec,
+    _format_g17,
     build_dictionary,
     enumerate_faults,
     evaluate_at,
@@ -20,7 +24,7 @@ from trajdiag.faultlib import (
 )
 from trajdiag.netlist import parse_netlist
 
-from conftest import ORACLE_VECTOR
+from conftest import ONE_POLE_RC, ORACLE_VECTOR
 from oracle_utils import random_rlc_vcvs_netlist, reference_dictionary_csv, reference_gains
 
 
@@ -350,21 +354,34 @@ def _ladder_netlist(rng, sections=8):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("case", ["percent-ids", "ladder-hz", "one-point"])
+NETLIST_IDS = {
+    "percent-ids": ("R%1", "L%%2", "C%s"),
+    "non-ascii-ids": ("R\u00b51", "L\u00e92", "C\u03a93"),
+    "placeholder-ids": (f"R{_LABEL.decode()}1", f"L{_LABEL.decode() * 2}2", "C3"),
+}
+
+
+@pytest.mark.parametrize("case", [*NETLIST_IDS, "ladder-hz", "wide", "one-point"])
 def test_dictionary_csv_template_matches_reference(tmp_path, biquad, case):
-    # each row is one %-format of a template built from its label, so ids
-    # holding "%" must come out as they are; the 18-passive ladder at 201
-    # points with Hz labels is the benchmark's sweep shape
+    # each row's lines are built with a placeholder where the label goes,
+    # and the label replaces it last: ids holding "%", non-ASCII letters
+    # (UTF-8 in the file) or the placeholder itself come out as they are.
+    # The 18-passive ladder at 201 points with Hz labels is the
+    # benchmark's sweep shape; a row wider than a chunk is written in parts
     labels = None
-    if case == "percent-ids":
+    if case in NETLIST_IDS:
+        r, l, c = NETLIST_IDS[case]
         circuit = parse_netlist(
-            "V1 in 0 1\nR%1 in a 1k\nL%%2 a out 1m\nC%s out 0 1u\n.input V1\n.output out\n"
+            f"V1 in 0 1\n{r} in a 1k\n{l} a out 1m\n{c} out 0 1u\n.input V1\n.output out\n"
         )
         grid = log_grid(1e3, 1e6, 31)
     elif case == "ladder-hz":
         circuit = parse_netlist(_ladder_netlist(np.random.default_rng(801)))
         labels = log_grid(0.01, 2.0, 201)
         grid = labels * (2.0 * math.pi)
+    elif case == "wide":
+        circuit = parse_netlist(ONE_POLE_RC)
+        grid = log_grid(0.01, 100.0, 2 * _CHUNK_VALUES + 5)
     else:
         circuit, grid = biquad, [1.0]
     dictionary = build_dictionary(circuit, FaultConfig(circuit.passive_ids()), grid)
@@ -372,10 +389,78 @@ def test_dictionary_csv_template_matches_reference(tmp_path, biquad, case):
     write_dictionary_csv(got, dictionary, frequencies=labels)
     reference_dictionary_csv(want, dictionary, frequencies=labels)
     assert got.read_bytes() == want.read_bytes()
-    rows = got.read_text().splitlines()
+    rows = got.read_text(encoding="utf-8").splitlines()
     assert len(rows) == 1 + dictionary.magnitudes_db.size
-    if case == "percent-ids":
-        assert {row.split(",")[0] for row in rows[1:]} == {"__golden__", "R%1", "L%%2", "C%s"}
+    if case in NETLIST_IDS:
+        assert {row.split(",")[0] for row in rows[1:]} == {"__golden__", *NETLIST_IDS[case]}
+
+
+def _g17_texts(values):
+    """``_format_g17`` of any number of values, chunk by chunk, as str."""
+    values = np.asarray(values, dtype=float)
+    return [
+        bytes(row).rstrip(b"\0").decode()
+        for start in range(0, values.size, _CHUNK_VALUES)
+        for row in _format_g17(values[start : start + _CHUNK_VALUES])
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_format_g17_matches_percent(values):
+    assert _g17_texts(values) == ["%.17g" % v for v in values]
+
+
+def test_format_g17_matches_percent_on_edge_classes():
+    rng = np.random.default_rng(16)
+    # powers of ten from 1e-6 to 1e18 and their neighbours up to 3 ulps away
+    powers = np.array([10.0**p for p in range(-6, 19)])
+    near = [powers]
+    for step in (1, 2, 3):
+        for way in (0.0, np.inf):
+            moved = powers
+            for _ in range(step):
+                moved = np.nextafter(moved, way)
+            near.append(moved)
+    whole = rng.integers(10**15, 10**16, 20_000).astype(float)
+    values = np.concatenate(
+        [
+            rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64),  # any bits
+            rng.uniform(-200.0, 50.0, 20_000),  # dB magnitudes
+            10.0 ** rng.uniform(-6.0, 18.0, 20_000),
+            *near,
+            whole + 0.25,  # below a tie
+            whole + 0.5,  # exact ties at the 17th digit, both parities
+            whole + 0.75,
+            [1000000000000000.25, 1e-4, np.nextafter(1e-4, 0.0), 1e16, 1e17],
+            [np.nextafter(1e17, 0.0), 0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308],
+            [1.7976931348623157e308, 9.9999999999999995e-5, 99999999999999984.0],
+        ]
+    )
+    values = np.concatenate([values, -values])
+    got = _g17_texts(values)
+    mismatches = [(v, g) for v, g in zip(values.tolist(), got) if g != "%.17g" % v]
+    assert not mismatches, mismatches[:5]
+
+
+def test_dictionary_csv_working_memory_is_one_chunk(tmp_path):
+    # the benchmark's sweep shape: a chunk's buffers (about 0.8 MiB), not
+    # the whole file's 1.5 MB of text
+    circuit = parse_netlist(_ladder_netlist(np.random.default_rng(801)))
+    labels = log_grid(0.01, 2.0, 201)
+    dictionary = build_dictionary(
+        circuit, FaultConfig(circuit.passive_ids()), labels * (2.0 * math.pi)
+    )
+    assert dictionary.magnitudes_db.shape == (145, 201)
+    path = tmp_path / "dictionary.csv"
+    write_dictionary_csv(path, dictionary, frequencies=labels)  # builds the tables
+    tracemalloc.start()
+    try:
+        write_dictionary_csv(path, dictionary, frequencies=labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
 
 
 def test_dictionary_csv(tmp_path, biquad):
