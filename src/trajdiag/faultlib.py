@@ -255,14 +255,17 @@ def _text_tables():
     - ``groups``: the four ASCII digits of 0..9999, each as one uint32;
     - ``trailing``: the trailing zeros of 0..9999 written with four digits;
     - ``heads``: ``-0.`` and the leading digit 0..9, each as one uint32;
-    - ``layouts``: for each (sign, exponent -4..16, digits kept 1..17), the
-      source byte of each text byte. A value's 24 source bytes are ``-``,
-      ``0``, ``.``, its 17 digits and NULs;
-    - ``offsets``: each value's first source byte in a chunk.
+    - ``layouts``: a (24, 714) table whose column for (sign, exponent
+      -4..16, digits kept 1..17) gives the source byte of each text byte.
+      A value's 24 source bytes are ``-``, ``0``, ``.``, its 17 digits and
+      NULs.
+
+    Small integer types keep the temporaries small.
     """
-    n = np.arange(10_000)
-    digits = (n[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-    trailing = np.zeros(10_000, np.intp)
+    n = np.arange(10_000, dtype=np.uint16)
+    digits = n[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+    digits = (digits + ord("0")).astype(np.uint8)
+    trailing = np.zeros(10_000, np.uint8)
     for z in range(1, 5):
         trailing[n % 10**z == 0] = z
     heads = np.zeros((10, 4), np.uint8)
@@ -280,33 +283,24 @@ def _text_tables():
                     if kept > k + 1:
                         source += [2, *range(4 + k, 3 + kept)]
                 layouts[negative, k + 4, kept - 1, : len(source)] = source
-    offsets = np.repeat(np.arange(_CHUNK_VALUES) * _TEXT_WIDTH, _TEXT_WIDTH)
     return (
         digits.view(np.uint32).ravel(),
         trailing,
         heads.view(np.uint32).ravel(),
-        layouts.reshape(-1, _TEXT_WIDTH),
-        offsets.reshape(_CHUNK_VALUES, _TEXT_WIDTH),
+        layouts.reshape(-1, _TEXT_WIDTH).T.copy(),
     )
 
 
-def _format_g17(values) -> np.ndarray:
-    """``'%.17g' % x`` of each of at most ``_CHUNK_VALUES`` floats, as the
-    rows of a (values, 24) uint8 array, NUL-padded on the right.
+def _digits(magnitude):
+    """The 17 significant digits of each value in [1e-4, 1e17), rounded
+    half to even, as ``(source, k, dropped)``: the rows of 24 source bytes
+    of :func:`_text_tables`, as uint32, the decimal exponents and the
+    counts of trailing zero digits.
 
-    A value with 1e-4 <= |x| < 1e17 prints in fixed notation. Its decimal
-    exponent ``k`` comes from ``log10``, checked exactly: the two-product
-    ``|x| 10^(16 - k) = hi + lo`` must lie in [1e16, 1e17). That product
-    rounded half to even gives the 17 digits, and the text is one gather
-    by the layout of (sign, k, digits before the trailing zeros). Every
-    other value (zeros, non-finite, the exponent forms) is formatted by
-    ``%`` itself.
+    ``k`` comes from ``log10``, checked exactly: the two-product
+    ``magnitude 10^(16 - k) = hi + lo`` must lie in [1e16, 1e17).
     """
-    groups, trailing, heads, layouts, offsets = _text_tables()
-    x = np.asarray(values, dtype=float).ravel()
-    magnitude = np.abs(x)
-    other = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e17)))
-    magnitude[other] = 1.0  # formatted by % below
+    groups, trailing, heads, _ = _text_tables()
     k = np.clip(np.floor(np.log10(magnitude)), -4, 16).astype(np.intp)
     hi, lo = _two_product(magnitude, _POW10[16 - k])
     near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
@@ -327,18 +321,35 @@ def _format_g17(values) -> np.ndarray:
     lower = d - upper * 10**8
     lead = upper // 10**8
     upper -= lead * 10**8
-    source = np.zeros((x.size, _TEXT_WIDTH // 4), np.uint32)
+    source = np.zeros((magnitude.size, _TEXT_WIDTH // 4), np.uint32)
     source[:, 0] = heads[lead]
-    dropped = np.zeros(x.size, np.intp)  # trailing zeros of d
+    dropped = np.zeros(magnitude.size, np.intp)
     first, third = upper // 10**4, lower // 10**4
     quads = (first, upper - first * 10**4, third, lower - third * 10**4)
     for column, group in enumerate(quads, start=1):
         source[:, column] = groups[group]
         dropped = trailing[group] + (group == 0) * dropped
+    return source, k, dropped
+
+
+def _format_g17(values) -> np.ndarray:
+    """``'%.17g' % x`` of each of at most ``_CHUNK_VALUES`` floats, as the
+    rows of a (values, 24) uint8 array, NUL-padded on the right.
+
+    A value with 1e-4 <= |x| < 1e17 prints in fixed notation: its text is
+    one gather from its :func:`_digits` by the layout of (sign, exponent,
+    digits before the trailing zeros). Every other value (zeros,
+    non-finite, the exponent forms) is formatted by ``%`` itself.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    magnitude = np.abs(x)
+    other = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e17)))
+    magnitude[other] = 1.0  # formatted by % below
+    source, k, dropped = _digits(magnitude)
     code = (np.signbit(x) * 21 + k + 4) * 17 + 16 - dropped
-    gather = layouts.take(code, axis=0)
-    gather += offsets[: x.size]
-    text = source.view(np.uint8).ravel().take(gather)
+    gather = _text_tables()[3].take(code, axis=1)
+    gather += np.arange(0, _TEXT_WIDTH * x.size, _TEXT_WIDTH)
+    text = source.view(np.uint8).ravel().take(gather).T
     for i in other.tolist():
         chars = b"%.17g" % x[i]
         text[i] = 0
