@@ -323,7 +323,7 @@ def test_dictionary_views_equal_evaluate_at(biquad, biquad_faults):
 
 @pytest.mark.parametrize("case", ["biquad", "hz", "ladder"])
 def test_dictionary_csv_matches_per_value_writer(tmp_path, biquad, biquad_faults, case):
-    # the row-at-a-time writer must give the per-value reference's bytes:
+    # the chunked writer must give the per-value reference's bytes:
     # the CLI's default biquad grid, a Hz grid relabelled in the freq
     # column, and a seeded R/C/L + vcvs ladder
     circuit, config, grid, labels = biquad, biquad_faults, log_grid(0.01, 100.0, 201), None
