@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import dataclass
@@ -307,8 +308,14 @@ def _load_best_vector(config: RunConfig) -> TestVector:
     if not isinstance(unit, str) or unit not in _UNITS:
         raise ConfigError(f"{path}: unknown unit {unit!r}")
     try:
-        return TestVector(tuple(float(f) * _UNITS[unit] for f in payload["frequencies"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        frequencies = payload["frequencies"]
+        if not isinstance(frequencies, list):
+            raise TypeError(f"expected a list of numbers, got {type(frequencies).__name__}")
+        for f in frequencies:
+            if isinstance(f, bool) or not isinstance(f, (int, float)):
+                raise ValueError(f"could not convert {f!r} to a number")
+        return TestVector(tuple(float(f) * _UNITS[unit] for f in frequencies))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: missing or bad 'frequencies' ({exc!r})") from None
 
 
@@ -358,7 +365,14 @@ def cmd_diagnose(config: RunConfig, measured: str | None, inject: str | None) ->
     ):
         raise TrajdiagError("diagnose: the ranking is not finite")
     write_diagnosis_csv(out / "diagnosis.csv", result)
-    print(format_report(result), end="")
+    report = format_report(result)
+    stdout = getattr(sys.stdout, "buffer", None)
+    if stdout is None:  # an in-memory text stream
+        sys.stdout.write(report)
+    else:  # UTF-8 bytes, as the netlist's names were read, whatever the locale
+        sys.stdout.flush()
+        stdout.write(report.encode("utf-8"))
+        stdout.flush()
     return 0
 
 
@@ -496,6 +510,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if argv is None:
+        # names given on the command line are matched against the netlist's,
+        # which is read as UTF-8, so they are decoded as UTF-8 whatever the
+        # locale; paths keep the encoding of the file system they name
+        for name in ("inject", "targets"):
+            value = getattr(args, name, None)
+            if value is not None:
+                setattr(args, name, os.fsencode(value).decode("utf-8", "surrogateescape"))
     try:
         config = load_config(args.config, {k: getattr(args, k) for k in _FIELD_TYPES})
         if args.command == "simulate":

@@ -9,8 +9,8 @@ individual is tracked outside the population (no elitism inside it).
 A run memoizes intersection counts by genes (``None`` for a vector the
 solver fails on, which scores 0.0) and takes every fitness, and the
 best vector's count in the log, from that memo. A generation's unseen
-individuals are scored in one call of the counting loop behind
-``intersection_counts``, in blocks of bounded memory, as rows of their
+individuals are scored in one call of the incidence counting loop,
+``trajectory._count_in_blocks``, in blocks of bounded memory, as rows of their
 frequencies ``10.0 ** g``; no ``TestVector`` is built per individual.
 The blocks take their dB columns from a run-local store keyed by
 frequency that holds the current population's frequencies, so a

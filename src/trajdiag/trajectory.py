@@ -24,24 +24,25 @@ One numpy kernel serves every counting entry point. Its broad phase
 keeps only the segment pairs whose axis-aligned boxes, grown by twice
 the tolerance, touch on every axis (the box test of sweep-and-prune, run
 as one boolean matrix over all segment pairs, with a comparison that
-stays conservative under rounding). A layout's cross-trajectory pairs
-are cached as one index each, the pair's flat position in that matrix.
-A pair whose segments both end at the golden point meets there unless
-the two overlap, and that contact is discarded, so such a pair goes on
-only if it could be parallel. The closed-form closest-point test then
-runs on the survivors alone, about 8% of the 1344 cross-trajectory
-pairs of a random 2-frequency biquad vector (5% at 3 frequencies, 20%
-at 1, where every pair is collinear). One loop feeds the kernel blocks
-of test vectors whose box-test matrices hold at most ``_BOX_ENTRIES``
-entries, so its memory does not grow with the number of vectors. It
-takes each block's magnitudes from a callable: :func:`intersection_counts`
-passes the ensemble's solve, and the GA passes a run-local dict of dB
-columns by frequency, which solves only the frequencies it lacks.
+stays conservative under rounding). That matrix, kept only at the pairs
+``i < j`` of different trajectories, is itself the pair list: nothing of
+a layout is cached, and each call builds two arrays of one entry per
+segment, its trajectory and whether it ends at its trajectory's origin
+point. A pair whose segments both end at the golden point meets there
+unless the two overlap, and that contact is discarded, so such a pair
+goes on only if it could be parallel. The closed-form closest-point
+test then runs on the survivors alone, about 8% of the 1344
+cross-trajectory pairs of a random 2-frequency biquad vector (5% at 3
+frequencies, 20% at 1, where every pair is collinear). One loop feeds
+the kernel blocks of test vectors whose box-test matrices hold at most
+``_BOX_ENTRIES`` entries, so its memory does not grow with the number of
+vectors. It takes each block's magnitudes from a callable: the GA passes
+a run-local dict of dB columns by frequency, which solves only the
+frequencies it lacks.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,11 +57,12 @@ CROSS = "cross"
 OVERLAP = "overlap"
 
 # Cap on the entries of the (vectors x segments x segments) box-test matrix
-# in one block of intersection_counts: 32 biquad vectors (56 segments) at any
+# in one block of _count_in_blocks: 32 biquad vectors (56 segments) at any
 # number of frequencies. In-process GA runs (biquad, population 128,
 # 1 generation, n = 2; 2-core x86 VM, numpy 2.4.6) took about as long with
 # blocks of 24 to 64 vectors and 15-20% longer with 16; a run's tracemalloc
-# peak grows with the block: 0.6, 0.9, 1.0 and 1.9 MB at 16, 24, 32 and 64.
+# peak grows with the block: 0.65, 0.87, 1.12 and 1.99 MiB at 16, 24, 32
+# and 64.
 _BOX_ENTRIES = 32 * 56 * 56
 
 # Cap on the dB values (columns x (1 + faults)) a GA run's _ColumnStore
@@ -196,47 +198,36 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
-@functools.lru_cache(maxsize=2)
-def _cross_pairs(segments: tuple[int, ...], origins: tuple[int, ...]):
-    """Segment pairs ``i < j`` that belong to different trajectories.
+def _segment_layout(segments, origins):
+    """Each segment's trajectory and whether it ends at its origin point.
 
     ``segments`` gives each trajectory's segment count and ``origins`` the
     index of its origin point, the row at deviation 0; segments are
-    numbered trajectory by trajectory. Returns ``(flat, shared)``: each
-    pair's position ``i * S + j`` in an (S, S) matrix of all S segments,
-    ascending, and the indices into ``flat`` of the pairs whose segments
-    both have an endpoint at their trajectory's origin point. A pair's
-    ``(i, j)`` is ``divmod(flat[pair], S)``. Only (S, S) boolean matrices
-    are built on the way. The arrays are cached for the last two layouts
-    and read-only.
+    numbered trajectory by trajectory. Returns (S,) arrays ``(owner,
+    at_origin)``: the trajectory of each of the S segments, and whether
+    one of its endpoints is its trajectory's origin point.
     """
     owner = np.repeat(np.arange(len(segments)), segments)
     local = np.concatenate([np.arange(k) for k in segments])
     origin_of = np.repeat(origins, segments)
-    at_origin = (local == origin_of - 1) | (local == origin_of)
-    cross = owner[:, None] < owner[None, :]
-    pairs = np.flatnonzero(cross), np.flatnonzero(np.outer(at_origin, at_origin)[cross])
-    for array in pairs:
-        array.flags.writeable = False
-    return pairs
+    return owner, (local == origin_of - 1) | (local == origin_of)
 
 
-def _boxes_touch(p0, p1, flat, tol):
-    """(B, pairs) mask: do the 2 tol-grown boxes of each pair touch on every axis?
+def _boxes_touch(p0, p1, owner, tol):
+    """(B, S, S) mask: is ``i < j`` a cross-trajectory pair whose 2 tol-grown
+    boxes touch on every axis?
 
-    ``p0, p1``: (B, S, n) segment endpoints; ``flat``: the pairs' positions
-    in an (S, S) matrix. A pair closer than ``tol`` has axis-aligned boxes
-    closer than ``tol`` on every axis, so it passes: the test is ``lo <= hi
-    + 2 * tol`` both ways, with the sum rounded. That stays conservative:
-    ``lo`` is a float and rounding is monotone, so ``lo - hi < 2 * tol``
-    exactly gives a rounded sum of at least ``lo``. The comparison must not
-    be strict, since at a tiny ``tol`` the sum rounds to ``hi`` and boxes
-    that touch exactly would be dropped. The test fills one (B, S, S)
-    boolean matrix of all segment pairs axis by axis, with no float
-    temporary of that size, and reads it at ``flat``; the matrix is freed
-    on return, before the closest-point test allocates its rows.
+    ``p0, p1``: (B, S, n) segment endpoints; ``owner``: each segment's
+    trajectory. A pair closer than ``tol`` has axis-aligned boxes closer
+    than ``tol`` on every axis, so it passes: the test is ``lo <= hi + 2 *
+    tol`` both ways, with the sum rounded. That stays conservative: ``lo``
+    is a float and rounding is monotone, so ``lo - hi < 2 * tol`` exactly
+    gives a rounded sum of at least ``lo``. The comparison must not be
+    strict, since at a tiny ``tol`` the sum rounds to ``hi`` and boxes that
+    touch exactly would be dropped. The matrix is filled axis by axis, with
+    no float temporary of its size; only the pairs of segments ``i < j`` of
+    different trajectories stay set, each pair once.
     """
-    batch_size = p0.shape[0]
     # axis-major (n, B, S) box bounds; reach is the upper bound grown by 2 tol
     box_lo = np.moveaxis(np.minimum(p0, p1), -1, 0).copy()
     box_reach = np.moveaxis(np.maximum(p0, p1) + 2.0 * tol, -1, 0).copy()
@@ -244,49 +235,58 @@ def _boxes_touch(p0, p1, flat, tol):
     axis = np.empty_like(close)
     for lo_k, reach_k in zip(box_lo[1:], box_reach[1:]):
         close &= np.less_equal(lo_k[:, :, None], reach_k[:, None, :], out=axis)
-    close &= close.transpose(0, 2, 1)
-    return close.reshape(batch_size, -1).take(flat, axis=1)
+    # both ways and cross-trajectory, with no third matrix-sized temporary
+    np.copyto(axis, close.transpose(0, 2, 1))
+    close &= axis
+    close &= np.less(owner[:, None], owner[None, :], out=axis[0])
+    return close
 
 
-def _incidences(p0, p1, pairs, tol, origin_tol=None):
+def _incidences(p0, p1, layout, tol, origin_tol=None):
     """Incident segment pairs of a batch of segment sets, all in numpy.
 
-    ``p0, p1``: (B, S, n) segment endpoints; ``pairs``: the ``(flat,
-    shared)`` arrays of :func:`_cross_pairs` for the pairs to test. A pair
-    is incident when its clamped closest-point distance is below ``tol``.
-    Parallel pairs with a positive common length are overlaps (point:
-    middle of the common part); the rest are crosses (point: an endpoint
-    the two share, else the exact 2-D crossing, else midway between the
-    closest points). With ``origin_tol`` set, contacts lying wholly within
-    ``origin_tol`` of the golden point, the zero vector, are dropped.
+    ``p0, p1``: (B, S, n) segment endpoints; ``layout``: the ``(owner,
+    at_origin)`` arrays of :func:`_segment_layout`. The pairs tested are
+    the segments ``i < j`` of different trajectories. A pair is incident
+    when its clamped closest-point distance is below ``tol``. Parallel
+    pairs with a positive common length are overlaps (point: middle of the
+    common part); the rest are crosses (point: an endpoint the two share,
+    else the exact 2-D crossing, else midway between the closest points).
+    With ``origin_tol`` set, contacts lying wholly within ``origin_tol`` of
+    the golden point, the zero vector, are dropped.
 
-    A broad phase runs first: only the pairs that pass
-    :func:`_boxes_touch` go on. With ``origin_tol`` set, a ``shared`` pair
-    (both segments end at the exact zero point) that does not overlap
-    meets only there, where the origin rule drops it; so such a pair goes
-    on only if it could be parallel, by a bound 1000 times looser than
-    the closest-point test's own. The closest-point test then runs on
-    point-major (K, n) rows of the survivors, whose segments ``(i, j)``
-    are ``divmod(flat[pair], S)``, gathered from the flattened (B * S, n)
-    endpoints, with the same arithmetic as a pass over all pairs.
+    A broad phase runs first: only the pairs set in :func:`_boxes_touch`'s
+    matrix go on, read as ``divmod`` of their flat positions by S * S and
+    S, and the matrix is freed before the closest-point test allocates its
+    rows. With ``origin_tol`` set, a survivor whose segments both end at
+    the exact zero point that does not overlap meets only there, where the
+    origin rule drops it; so such a pair goes on only if it could be
+    parallel, by a bound 1000 times looser than the closest-point test's
+    own. The closest-point test then runs on point-major (K, n) rows of the
+    survivors, gathered from the flattened (B * S, n) endpoints, with the
+    same arithmetic as a pass over all pairs.
 
-    Returns ``(batch, pair, overlap, point)`` of the kept incidences in
-    (batch, pair) order; ``overlap`` is False for a cross.
+    Returns ``(batch, i, j, overlap, point)`` of the kept incidences in
+    (batch, i, j) order; ``overlap`` is False for a cross.
     """
-    flat, shared = pairs
+    owner, at_origin = layout
     size = p0.shape[1]
-    near = _boxes_touch(p0, p1, flat, tol)
+    batch, pair = np.divmod(np.flatnonzero(_boxes_touch(p0, p1, owner, tol)), size * size)
+    i, j = np.divmod(pair, size)
+    # the survivors' rows in the flattened (B * S, n) endpoints
+    row_i, row_j = batch * size + i, batch * size + j
+    p0, p1 = p0.reshape(-1, p0.shape[-1]), p1.reshape(-1, p1.shape[-1])
     step = p1 - p0
     if origin_tol is not None:
-        u, v = (step.take(k, axis=1) for k in np.divmod(flat[shared], size))
+        shared = np.flatnonzero(at_origin[i] & at_origin[j])
+        u, v = step.take(row_i[shared], axis=0), step.take(row_j[shared], axis=0)
         uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
         parallel = uu * vv - uv * uv <= 1e-9 * uu * vv
-        near[:, shared] &= (uu > 0.0) & (vv > 0.0) & parallel
-    batch, pair = np.nonzero(near)
+        near = np.ones(len(batch), dtype=bool)
+        near[shared] = (uu > 0.0) & (vv > 0.0) & parallel
+        rows = np.flatnonzero(near)
+        batch, i, j, row_i, row_j = (x.take(rows) for x in (batch, i, j, row_i, row_j))
 
-    # gather the survivors' rows from the flattened (B * S, n) endpoints
-    row_i, row_j = (batch * size + k for k in np.divmod(flat[pair], size))
-    p0, p1, step = (x.reshape(-1, x.shape[-1]) for x in (p0, p1, step))
     a0, b0 = p0.take(row_i, axis=0), p0.take(row_j, axis=0)
     u, v = step.take(row_i, axis=0), step.take(row_j, axis=0)
     uu, vv = _dot(u, u), _dot(v, v)
@@ -302,10 +302,10 @@ def _incidences(p0, p1, pairs, tol, origin_tol=None):
     diff = r + s[:, None] * u - t[:, None] * v
     hit = np.sqrt(_dot(diff, diff)) < tol
 
-    # one index for the 13 gathers: a boolean mask would be scanned for each
+    # one index for the 14 gathers: a boolean mask would be scanned for each
     rows = np.flatnonzero(hit)
-    survivors = (batch, pair, row_i, row_j, a0, b0, u, v, uu, vv, s, t, denom)
-    batch, pair, row_i, row_j, a0, b0, u, v, uu, vv, s, t, denom = (
+    survivors = (batch, i, j, row_i, row_j, a0, b0, u, v, uu, vv, s, t, denom)
+    batch, i, j, row_i, row_j, a0, b0, u, v, uu, vv, s, t, denom = (
         x.take(rows, axis=0) for x in survivors
     )
     a1, b1 = p1.take(row_i, axis=0), p1.take(row_j, axis=0)
@@ -339,7 +339,7 @@ def _incidences(p0, p1, pairs, tol, origin_tol=None):
     if origin_tol is not None:
         reach = np.maximum(*(np.sqrt(_dot(e, e)) for e in (lo_end, hi_end)))
         keep = reach > origin_tol
-    return batch[keep], pair[keep], overlap[keep], point[keep]
+    return batch[keep], i[keep], j[keep], overlap[keep], point[keep]
 
 
 def _check_tolerances(**tolerances) -> None:
@@ -369,7 +369,7 @@ def segment_incidence(a0, a1, b0, b1, tol: float):
     p0 = np.asarray([[a0, b0]], dtype=float)
     p1 = np.asarray([[a1, b1]], dtype=float)
     # two one-segment trajectories
-    _, _, overlap, point = _incidences(p0, p1, _cross_pairs((1, 1), (0, 0)), tol)
+    _, _, _, overlap, point = _incidences(p0, p1, _segment_layout((1, 1), (0, 0)), tol)
     if not len(point):
         return None
     return (OVERLAP if overlap[0] else CROSS), tuple(point[0].tolist())
@@ -395,16 +395,15 @@ def count_intersections(trajectories, tol: float = 1e-6, origin_tol: float | Non
     p0 = np.concatenate([pts[:-1] for pts in points])
     p1 = np.concatenate([pts[1:] for pts in points])
     segments = tuple(len(pts) - 1 for pts in points)
-    traj_of = np.repeat(np.arange(len(points)), segments)
     seg_of = np.concatenate([np.arange(k) for k in segments])
     origins = tuple(int(np.flatnonzero(t.deviations == 0.0)[0]) for t in trajectories)
-    pairs = _cross_pairs(segments, origins)
-    _, pair, overlap, point = _incidences(p0[None], p1[None], pairs, tol, origin_tol)
-    first, second = np.divmod(pairs[0][pair], len(p0))
+    layout = _segment_layout(segments, origins)
+    _, first, second, overlap, point = _incidences(p0[None], p1[None], layout, tol, origin_tol)
+    owner = layout[0]
     names = [traj.component for traj in trajectories]
     records = [
         IncidenceRecord(
-            names[traj_of[i]], int(seg_of[i]), names[traj_of[j]], int(seg_of[j]),
+            names[owner[i]], int(seg_of[i]), names[owner[j]], int(seg_of[j]),
             OVERLAP if is_overlap else CROSS, tuple(rep),
         )
         for i, j, is_overlap, rep in zip(first, second, overlap.tolist(), point.tolist())
@@ -423,7 +422,7 @@ def _count_in_blocks(magnitudes, omegas, config: FaultConfig, tol, origin_tol) -
     """
     n = omegas.shape[1]
     targets, segments, n_below = len(config.targets), len(config.deviations()), config.n_below
-    pairs = _cross_pairs((segments,) * targets, (n_below,) * targets)
+    layout = _segment_layout((segments,) * targets, (n_below,) * targets)
     step = max(1, _BOX_ENTRIES // (targets * segments) ** 2)
     counts = []
     for start in range(0, len(omegas), step):
@@ -431,32 +430,9 @@ def _count_in_blocks(magnitudes, omegas, config: FaultConfig, tol, origin_tol) -
         stack = _signature_stack(magnitudes(block.ravel()), targets, n_below, n)
         p0 = stack[:, :, :-1].reshape(len(block), -1, n)
         p1 = stack[:, :, 1:].reshape(len(block), -1, n)
-        hits = _incidences(p0, p1, pairs, tol, origin_tol)[0]
+        hits = _incidences(p0, p1, layout, tol, origin_tol)[0]
         counts.append(np.bincount(hits, minlength=len(block)))
     return np.concatenate(counts)
-
-
-def intersection_counts(
-    circuit: Circuit, config: FaultConfig, vectors, tol=1e-6, origin_tol=None
-) -> np.ndarray:
-    """Intersection count of each equal-length test vector.
-
-    Count-only counterpart of ``build_trajectories`` followed by
-    :func:`count_intersections`, with the same results. The vectors go in
-    blocks whose box-test matrices hold at most ``_BOX_ENTRIES`` entries
-    (one vector at least); each block is one ensemble solve and one
-    incidence pass, so memory does not grow with the number of vectors,
-    and no count depends on the blocking.
-    """
-    origin_tol = _origin_tol(tol, origin_tol)
-    if not vectors:
-        raise ValueError("need at least one test vector")
-    n = len(vectors[0].frequencies)
-    if any(len(tv.frequencies) != n for tv in vectors):
-        raise ValueError("test vectors must all have the same number of frequencies")
-    omegas = np.array([tv.frequencies for tv in vectors])
-    magnitudes = ensemble_for(circuit, config).magnitudes
-    return _count_in_blocks(magnitudes, omegas, config, tol, origin_tol)
 
 
 class _ColumnStore:

@@ -3,7 +3,9 @@
 The geometry oracle decides segment incidence by dense parametric
 sampling: 10^4 points on each segment, each checked against the other
 segment with a distance threshold. It was written before (and
-independently of) the closed-form predicate it cross-checks. The solve
+independently of) the closed-form predicate it cross-checks. The
+count-only entry point runs the GA's scoring loop on the ensemble's solve,
+the batch form of the kernel that the scalar reference checks. The solve
 reference computes each fault variant's gains from its own stamped
 matrices, one dense LU per circuit and frequency. The dictionary writer
 reference writes ``dictionary.csv`` one value at a time, from the
@@ -215,6 +217,31 @@ def reference_count(trajectories, tol):
         if max(_dot(p, p) ** 0.5 for p in extremes) > tol:
             records.append((comp_a, seg_a, comp_b, seg_b, kind, tuple(rep)))
     return len(records), records
+
+
+def intersection_counts(circuit, config, vectors, tol=1e-6, origin_tol=None):
+    """Intersection count of each equal-length test vector, as an array.
+
+    Count-only counterpart of ``build_trajectories`` followed by
+    ``count_intersections``, with the same results: the GA's scoring loop,
+    ``trajectory._count_in_blocks``, with the ensemble's solve as its
+    magnitudes. The vectors go in blocks whose box-test matrices hold at
+    most ``trajectory._BOX_ENTRIES`` entries (one vector at least); each
+    block is one ensemble solve and one incidence pass, so memory does not
+    grow with the number of vectors, and no count depends on the blocking.
+    """
+    from trajdiag.faultlib import ensemble_for
+    from trajdiag.trajectory import _count_in_blocks, _origin_tol
+
+    origin_tol = _origin_tol(tol, origin_tol)
+    if not vectors:
+        raise ValueError("need at least one test vector")
+    n = len(vectors[0].frequencies)
+    if any(len(tv.frequencies) != n for tv in vectors):
+        raise ValueError("test vectors must all have the same number of frequencies")
+    omegas = np.array([tv.frequencies for tv in vectors])
+    magnitudes = ensemble_for(circuit, config).magnitudes
+    return _count_in_blocks(magnitudes, omegas, config, tol, origin_tol)
 
 
 def random_rlc_vcvs_netlist(rng) -> str:

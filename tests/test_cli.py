@@ -589,6 +589,13 @@ def test_diagnose_best_vector_corrupt_json(tmp_path, capsys):
         ({"frequencies": [0.5, -1.0]}, "positive and finite"),
         ({"frequencies": [0.5, 1e400]}, "positive and finite"),
         ({"frequencies": []}, "at least one frequency"),
+        # a JSON list of numbers only: a string, an object or a boolean is
+        # not read as frequencies
+        ({"frequencies": "37"}, "TypeError"),
+        ({"frequencies": {"3": 1, "7": 2}}, "TypeError"),
+        ({"frequencies": [0.5, True]}, "could not convert"),
+        ({"frequencies": [0.5, "7"]}, "could not convert"),
+        ({"frequencies": [0.5, 10**400]}, "OverflowError"),
     ],
 )
 def test_diagnose_best_vector_bad_content(tmp_path, capsys, payload, fragment):
@@ -802,14 +809,16 @@ def test_user_file_that_is_not_utf8_exit_2(tmp_path, capsys, which):
 
 def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     # a non-ASCII element id: the C locale without UTF-8 mode writes the
-    # same bytes as UTF-8 mode, and plot-data reads them back
+    # same bytes as UTF-8 mode, plot-data reads them back, and diagnose
+    # takes the id from the command line and prints it as UTF-8
     netlist = tmp_path / "mu.cir"
     netlist.write_text(
         "V1 in 0 1\nR\u00b51 in a 1k\nC1 a 0 1u\nR2 a out 1k\nC2 out 0 1u\n"
         ".input V1\n.output out\n",
         encoding="utf-8",
     )
-    files = {}
+    files, reports = {}, {}
+    diagnose = ["diagnose", "--inject", "R\u00b51:0.2", "--targets", "R\u00b51,C1,R2,C2"]
     for utf8_mode in ("0", "1"):
         out = tmp_path / f"utf8-mode-{utf8_mode}"
         env = {
@@ -819,21 +828,23 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
             "LC_ALL": "C",
             "PYTHONUTF8": utf8_mode,
         }
-        for command in ("simulate", "optimize", "plot-data"):
+        for command in (["simulate"], ["optimize"], ["plot-data"], diagnose):
             proc = subprocess.run(
-                [sys.executable, "-m", "trajdiag", command, "--netlist", str(netlist),
+                [sys.executable, "-m", "trajdiag", *command, "--netlist", str(netlist),
                  "--outdir", str(out), *map(str, QUICK)],
                 capture_output=True, timeout=120, env=env,
             )
             assert proc.returncode == 0, (command, utf8_mode, proc.stderr)
         files[utf8_mode] = {path.name: path.read_bytes() for path in out.iterdir()}
+        reports[utf8_mode] = proc.stdout
     assert files["0"] == files["1"]
     assert sorted(files["0"]) == [
-        "best_vector.json", "dictionary.csv", "ga_log.csv", "trajectories.csv",
-        "trajectories.svg",
+        "best_vector.json", "diagnosis.csv", "dictionary.csv", "ga_log.csv",
+        "trajectories.csv", "trajectories.svg",
     ]
-    for name in ("dictionary.csv", "trajectories.csv", "trajectories.svg"):
+    for name in ("diagnosis.csv", "dictionary.csv", "trajectories.csv", "trajectories.svg"):
         assert "R\u00b51".encode() in files["0"][name], name
+    assert reports["0"] == reports["1"] and "R\u00b51".encode() in reports["0"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Static checks on the package and test source; no linter is installed,
-so the suite does the one lint rule the project keeps: no unused imports."""
+so the suite does the two lint rules the project keeps: no unused imports,
+and no private module-level name in the package that nothing uses."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,41 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+SOURCES = sorted(Path(trajdiag.__file__).parent.rglob("*.py"))
+
+
+def _private_definitions(tree):
+    """Private names a module binds at its top level: defs, classes, assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
+
+
+def test_every_private_name_is_used():
+    # a private helper that only its own definition mentions is dead code
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = sorted(
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in used
+    )
+    assert not unused, f"private names defined but never used: {unused}"

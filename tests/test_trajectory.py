@@ -15,14 +15,13 @@ from trajdiag.trajectory import (
     Trajectory,
     build_trajectories,
     count_intersections,
-    intersection_counts,
     read_trajectories_csv,
     segment_incidence,
     signature,
     write_trajectories_csv,
 )
 
-from oracle_utils import random_segment_pairs, reference_count, sampled_gap
+from oracle_utils import intersection_counts, random_segment_pairs, reference_count, sampled_gap
 
 
 def make_trajectory(component, pts, devs=None):
@@ -441,58 +440,37 @@ def test_intersection_counts_memory_does_not_grow_with_vectors(biquad, biquad_fa
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
-def _triangle_cross_pairs(segments, origins):
-    """The ``_cross_pairs`` arrays from np.triu_indices over all segment pairs."""
-    traj_of = np.repeat(np.arange(len(segments)), segments)
-    local = np.concatenate([np.arange(k) for k in segments])
-    origin_of = np.repeat(origins, segments)
-    at_origin = (local == origin_of - 1) | (local == origin_of)
-    first, second = np.triu_indices(len(traj_of), 1)
-    keep = traj_of[first] != traj_of[second]
-    first, second = first[keep], second[keep]
-    shared = np.flatnonzero(at_origin[first] & at_origin[second])
-    return first * len(traj_of) + second, shared
-
-
-@pytest.mark.parametrize(
-    "segments,origins",
-    [((1, 1), (0, 0)), ((8,) * 7, (4,) * 7), ((3, 1, 5, 2), (0, 1, 5, 1)), ((2, 6), (2, 3))],
-)
-def test_cross_pairs_match_the_triangle_construction(segments, origins):
-    got = trajectory._cross_pairs(segments, origins)
-    want = _triangle_cross_pairs(segments, origins)
-    assert len(got) == len(want)
-    for array, expected in zip(got, want):
-        np.testing.assert_array_equal(array, expected)
-        assert not array.flags.writeable
-
-
-def test_cross_pairs_hold_one_index_per_pair():
-    segments = (400,) * 7
-    total = sum(segments)
-    pairs = (total * total - sum(k * k for k in segments)) // 2
-    shared = 21 * 2 * 2  # 21 trajectory pairs, two segments at each origin
+def test_count_intersections_holds_nothing_after_it_returns():
+    # 7 rays of 400 segments from the origin: 3.36 M cross-trajectory pairs,
+    # whose index arrays no cache may keep once the call returns
+    radii = np.linspace(0.0025, 1.0, 400)
+    trajectories = [
+        make_trajectory(f"T{k}", np.outer(radii, _rotated(k)).tolist()) for k in range(7)
+    ]
+    count_intersections(trajectories[:2], 1e-6)  # numpy's own first-call state
+    tracemalloc.start()
     try:
-        held = trajectory._cross_pairs(segments, (200,) * 7)
-        assert sum(array.nbytes for array in held) == (pairs + shared) * np.dtype(np.intp).itemsize
+        assert count_intersections(trajectories, 1e-6) == (0, [])
+        held = tracemalloc.get_traced_memory()[0]
     finally:
-        trajectory._cross_pairs.cache_clear()  # 25.6 MiB otherwise kept for the process
+        tracemalloc.stop()
+    assert held < 64 * 1024, held
 
 
 # ------------------------------------------------- shared-origin shortcut
 
 
 def count_on_full_path(trajectories):
-    """count_intersections with no pair marked shared, so every pair that
-    passes the box test reaches the closest-point test."""
-    cross_pairs = trajectory._cross_pairs
+    """count_intersections with no segment marked at its origin, so every
+    pair that passes the box test reaches the closest-point test."""
+    segment_layout = trajectory._segment_layout
 
-    def nothing_shared(segments, origins):
-        flat, shared = cross_pairs(segments, origins)
-        return flat, shared[:0]
+    def nothing_at_origin(segments, origins):
+        owner, at_origin = segment_layout(segments, origins)
+        return owner, np.zeros_like(at_origin)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trajectory, "_cross_pairs", nothing_shared)
+        patch.setattr(trajectory, "_segment_layout", nothing_at_origin)
         return count_intersections(trajectories, 1e-6)
 
 
@@ -507,6 +485,29 @@ def assert_shortcut_matches(trajectories):
 
 def _rotated(angle, length=1.0):
     return (length * math.cos(angle), length * math.sin(angle))
+
+
+@pytest.mark.parametrize(
+    "segments,origins",
+    [((1, 1), (0, 0)), ((8,) * 7, (4,) * 7), ((3, 1, 5, 2), (0, 1, 5, 1)), ((2, 6), (2, 3))],
+)
+def test_kernel_matches_reference_on_uneven_layouts(segments, origins):
+    # random trajectories of uneven lengths with the origin at an end or
+    # inside; in half of the draws every segment leaving the origin forwards
+    # lies on one ray, so origin-adjacent pairs overlap there
+    rng = np.random.default_rng(7700 + sum(segments))
+    for n in (1, 2, 3):
+        for draw in range(20):
+            ray = rng.uniform(-1.0, 1.0, n)
+            trajectories = []
+            for k, (count, origin) in enumerate(zip(segments, origins)):
+                points = rng.uniform(-1.0, 1.0, (count + 1, n))
+                points[origin] = 0.0
+                if draw % 2 and origin < count:
+                    points[origin + 1] = rng.uniform(0.2, 1.0) * ray
+                devs = np.arange(count + 1.0) - origin
+                trajectories.append(Trajectory(f"T{k}", devs, points))
+            assert_shortcut_matches(trajectories)
 
 
 @pytest.mark.parametrize(
