@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,14 +75,15 @@ class MnaSystem:
     a circuit solves these same right-hand sides, so a fault's row does not
     depend on which other faults share the solve. Row 0 of every result is
     the golden circuit; :meth:`with_faults` adds one row per fault.
-    ``labels`` name the rows in errors.
+    ``labels`` name the rows in errors. :func:`_golden_system` caches one
+    system per circuit.
     """
 
     __slots__ = (
         "labels", "g", "c", "rhs", "out_index", "size", "_circuit", "_column", "_updates",
     )
 
-    def __init__(self, circuit: Circuit, label: str = "circuit"):
+    def __init__(self, circuit: Circuit):
         node_index: dict[str, int] = {}
         for element in circuit.elements:
             for node in element.nodes:
@@ -145,7 +147,7 @@ class MnaSystem:
                 stamp(g, row, cp, -element.value)
                 stamp(g, row, cq, element.value)
 
-        self.labels = (label,)
+        self.labels = ("golden circuit",)
         self.g, self.c, self.rhs, self.size = g, c, rhs[:size], size
         # golden systems are cached and shared between callers
         for array in (g, c, self.rhs):
@@ -264,15 +266,22 @@ def _raise_failure(matrices, omegas, label):
     raise SimulationError(f"{label} failed: MNA solve failed")
 
 
+@lru_cache(maxsize=16)
+def _golden_system(circuit: Circuit) -> MnaSystem:
+    """The circuit's golden system, cached: circuits are immutable and the
+    system's arrays read-only, so every caller shares one."""
+    return MnaSystem(circuit)
+
+
 def solve_ac(circuit: Circuit, frequency: float) -> complex:
     """Complex gain V(output)/V(source) at one angular frequency."""
-    return complex(MnaSystem(circuit).transfer([frequency])[0, 0])
+    return complex(_golden_system(circuit).transfer([frequency])[0, 0])
 
 
 def sweep(circuit: Circuit, grid) -> ResponseCurve:
     """Magnitude response over a strictly increasing angular-frequency grid."""
     omegas = np.asarray(grid, dtype=float)
-    mags = MnaSystem(circuit).magnitudes(omegas)[0]
+    mags = _golden_system(circuit).magnitudes(omegas)[0]
     return ResponseCurve(tuple(omegas.tolist()), tuple(mags.tolist()))
 
 

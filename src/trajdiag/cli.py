@@ -147,6 +147,8 @@ class RunConfig:
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               list: "a list", dict: "an object"}
 
 
 def _fault_rows(config: RunConfig, n_targets: int) -> int:
@@ -176,10 +178,14 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"config field {key!r}: unknown field")
         values.update(loaded)
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    flags = {k: v for k, v in overrides.items() if v is not None}
+    values.update(flags)
     try:
         for key, value in values.items():
             values[key] = _coerce(_FIELD_TYPES[key], value)
+            if key in ("netlist", "outdir") and key not in flags:
+                # a file name from the UTF-8 file, in the file system's encoding
+                values[key] = os.fsdecode(values[key].encode("utf-8", "surrogateescape"))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config field {key!r}: {exc}") from None
     return RunConfig(**values)
@@ -198,14 +204,19 @@ def _coerce(kind, value):
         if not math.isfinite(value):
             raise ValueError(f"must be finite, got {value}")
         return value
+    got = _JSON_TYPES.get(type(value), value)
     if kind is str:
-        return str(value)
-    # tuple[str, ...] | None: a list, or one comma-separated string
+        if not isinstance(value, str):
+            raise TypeError(f"expected a string, got {got}")
+        return value
+    # tuple[str, ...] | None: a list of strings, or one comma-separated string
     if value is None:
         return None
     if isinstance(value, str):
-        value = [v for v in value.split(",") if v]
-    return tuple(str(v) for v in value)
+        return tuple(v for v in value.split(",") if v)
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"expected a list of strings or a comma string, got {got}")
+    return tuple(value)
 
 
 def _read_text(path: Path) -> str:

@@ -6,17 +6,13 @@ and per-individual single-gene uniform mutation. Genes are log10
 frequencies so mutation explores the band evenly. The best-so-far
 individual is tracked outside the population (no elitism inside it).
 
-A run memoizes intersection counts by genes (``None`` for a vector the
-solver fails on, which scores 0.0) and takes every fitness, and the
-best vector's count in the log, from that memo. A generation's unseen
-individuals are scored in one call of the incidence counting loop,
-``trajectory._count_in_blocks``, in blocks of bounded memory, as rows of their
-frequencies ``10.0 ** g``; no ``TestVector`` is built per individual.
-The blocks take their dB columns from a run-local store keyed by
-frequency that holds the current population's frequencies, so a
-frequency is solved once while it stays in the population. A solve that
-fails is split in halves down to the failing frequencies, and each
-vector that holds one scores 0.0.
+Every fitness comes from one :class:`_Scorer` per run or call: a memo
+of intersection counts by test vector that counts a generation's unseen
+vectors in one call of the incidence counting loop,
+``trajectory._count_in_blocks``, as rows of their frequencies
+``10.0 ** g`` (no ``TestVector`` per individual), and solves each
+frequency once while it stays in the population. A vector that holds a
+frequency the solver fails at scores 0.0.
 
 Reproducibility: the run seed feeds a SeedSequence that spawns one
 child stream per generation; all stochastic draws happen on that
@@ -32,12 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .faultlib import FaultConfig, ensemble_for
 from .netlist import Circuit
-from .trajectory import TestVector, _ColumnStore, _count_in_blocks, _origin_tol
+from .trajectory import TestVector, _count_in_blocks, _origin_tol
 
 logger = logging.getLogger(__name__)
+
+# Cap on the dB values (columns x (1 + faults)) a _Scorer's store keeps,
+# 2 MB: 4,599 biquad columns, where a population of 128 two-frequency
+# vectors needs 256; 93 columns at 2,800 faults.
+_STORE_VALUES = 1 << 18
+
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -111,24 +113,70 @@ def fitness_from_intersections(intersections: int) -> float:
     return 1.0 / (intersections + 1)
 
 
-def _counts(rows, store: _ColumnStore, config, tol, origin_tol) -> list[int | None]:
-    """Intersection counts of equal-length frequency rows, from ``store``.
+class _Scorer:
+    """Memoized intersection counts of frequency rows: a GA run's scoring.
 
-    A row that holds a frequency the store could not solve gets ``None``
-    (fitness 0.0), and the event is logged once per row.
+    Called with a population's rows (equal-length frequency tuples), it
+    counts the distinct rows missing from :attr:`memo` in one
+    ``_count_in_blocks`` call (:attr:`counted` says how many) and returns
+    every row's count from the memo. The dB columns come from a store by
+    frequency that keeps the current rows' frequencies only, each as its
+    own copy, up to ``_STORE_VALUES`` values; past that a column serves its
+    block and is dropped. A solve that raises ``SimulationError`` is split
+    in halves down to the failing frequencies, which get zero columns (each
+    frequency is its own LU, so no other column changes); a row that holds
+    one counts ``None`` (fitness 0.0), logged once per row.
     """
-    counts = _count_in_blocks(store, np.array(rows), config, tol, origin_tol).tolist()
-    failed = store.failed
-    for k, row in enumerate(rows if failed else ()):
-        errors = [failed[f] for f in row if f in failed]
-        if errors:
-            logger.warning("fitness=0 for %s: %s", tuple(row), errors[0])
-            counts[k] = None
-    return counts
 
+    def __init__(self, circuit: Circuit, config: FaultConfig, tol, origin_tol):
+        self._count_args = (config, tol, _origin_tol(tol, origin_tol))
+        self._solve = ensemble_for(circuit, config).magnitudes
+        self._rows = 1 + len(config.faults)
+        self._columns: dict[float, np.ndarray] = {}
+        self._failed: dict[float, SimulationError] = {}
+        self.memo: dict[tuple[float, ...], int | None] = {}
+        self.counted = 0
 
-def _store(circuit: Circuit, config: FaultConfig) -> _ColumnStore:
-    return _ColumnStore(ensemble_for(circuit, config).magnitudes, 1 + len(config.faults))
+    def __call__(self, rows) -> list[int | None]:
+        wanted = {f for row in rows for f in row}
+        self._columns = {f: c for f, c in self._columns.items() if f in wanted}
+        self._failed = {f: e for f, e in self._failed.items() if f in wanted}
+        unseen = [row for row in dict.fromkeys(rows) if row not in self.memo]
+        self.counted = len(unseen)
+        if unseen:
+            counts = _count_in_blocks(self._magnitudes, np.array(unseen), *self._count_args)
+            self.memo.update(zip(unseen, counts.tolist()))
+            for row in unseen if self._failed else ():
+                errors = [self._failed[f] for f in row if f in self._failed]
+                if errors:
+                    logger.warning("fitness=0 for %s: %s", row, errors[0])
+                    self.memo[row] = None
+        return [self.memo[row] for row in rows]
+
+    def _magnitudes(self, omegas) -> np.ndarray:
+        """The (1 + faults, K) dB columns at ``omegas``, solving in one call
+        only the frequencies the store lacks."""
+        keys = omegas.tolist()
+        columns = self._columns
+        new = [f for f in dict.fromkeys(keys) if f not in columns]
+        if new:
+            fresh = dict(zip(new, (column.copy() for column in self._solve_each(new).T)))
+            room = _STORE_VALUES // self._rows - len(columns)
+            columns.update(list(fresh.items())[:room])
+            columns = columns | fresh
+        return np.array([columns[f] for f in keys]).T
+
+    def _solve_each(self, omegas: list[float]) -> np.ndarray:
+        try:
+            return self._solve(np.array(omegas))
+        except SimulationError as exc:
+            if len(omegas) == 1:
+                self._failed[omegas[0]] = exc
+                return np.zeros((self._rows, 1))
+            half = len(omegas) // 2
+            return np.concatenate(
+                [self._solve_each(omegas[:half]), self._solve_each(omegas[half:])], axis=1
+            )
 
 
 def _fitness(count: int | None) -> float:
@@ -147,8 +195,7 @@ def fitness(
     A vector the solver cannot evaluate scores 0.0 so the search keeps
     going; the event is logged.
     """
-    store = _store(circuit, config)
-    return _fitness(_counts([tv.frequencies], store, config, tol, _origin_tol(tol, origin_tol))[0])
+    return _fitness(_Scorer(circuit, config, tol, origin_tol)([tv.frequencies])[0])
 
 
 def _roulette(fitnesses, size: int):
@@ -230,24 +277,17 @@ def run_ga(
 
     Returns the best-so-far vector and the full per-generation log.
     """
-    origin_tol = _origin_tol(tol, origin_tol)
-    memo: dict[tuple[float, ...], int | None] = {}
-    store = _store(circuit, fault_config)
+    scorer = _Scorer(circuit, fault_config, tol, origin_tol)
 
     def evaluate(population, generation) -> list[float]:
         # Python's float power, as Chromosome.decode: numpy's vectorized
         # 10.0 ** genes rounds some genes to a neighbouring float
-        rows = {c.genes: [10.0**g for g in c.genes] for c in population}
-        store.keep({f for row in rows.values() for f in row})
-        unseen = [genes for genes in rows if genes not in memo]
-        if unseen:
-            counts = _counts([rows[g] for g in unseen], store, fault_config, tol, origin_tol)
-            memo.update(zip(unseen, counts))
-        fitnesses = [_fitness(memo[c.genes]) for c in population]
+        counts = scorer([tuple(10.0**g for g in c.genes) for c in population])
+        fitnesses = [_fitness(count) for count in counts]
         logger.debug(
             "generation %d: %d evaluations, %d unique, %d memo hits, %d fitness 0",
-            generation, len(population), len(unseen),
-            len(population) - len(unseen), fitnesses.count(0.0),
+            generation, len(population), scorer.counted,
+            len(population) - scorer.counted, fitnesses.count(0.0),
         )
         return fitnesses
 
@@ -285,7 +325,8 @@ def run_ga(
         )
 
     best_vector = best.decode()
-    log = GaLog(tuple(records), best_vector, best_fitness, memo[best.genes], ga_config.seed)
+    count = scorer.memo[best_vector.frequencies]
+    log = GaLog(tuple(records), best_vector, best_fitness, count, ga_config.seed)
     return best_vector, log
 
 

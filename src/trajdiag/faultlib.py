@@ -6,11 +6,11 @@ nominal point, e.g. the default 0.6..1.4 range in 0.1 steps yields the
 eight deviations -0.4..-0.1, +0.1..+0.4 per component; zero is never a
 fault, it denotes the golden circuit and is stored once.
 
-Every magnitude comes from ``acsim.MnaSystem``: one cached golden system
-per circuit, whose faults are rank-one updates of the golden solve.
-:class:`FaultEnsemble` adds every grid fault to it (dictionary,
-trajectories, GA), and :func:`evaluate_at` adds the one fault a query
-asks about, through the same update code. The fault dictionary is the
+Every magnitude comes from the circuit's cached golden ``MnaSystem``
+(``acsim._golden_system``), whose faults are rank-one updates of the
+golden solve. :class:`FaultEnsemble` adds every grid fault to it
+(dictionary, trajectories, GA), and :func:`evaluate_at` adds the one
+fault a query asks about, through the same update code. The fault dictionary is the
 ensemble's (1 + faults, frequencies) dB array itself; its ``golden`` and
 ``entries`` curves are views built on demand.
 """
@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .acsim import MnaSystem, ResponseCurve
+from .acsim import ResponseCurve, _golden_system
 from .errors import ConfigError
 from .netlist import Circuit
 
@@ -33,7 +33,6 @@ DEFAULT_RANGE_HIGH = 1.4
 DEFAULT_STEP = 0.1
 
 GOLDEN_LABEL = "__golden__"
-_GOLDEN_NAME = "golden circuit"
 
 
 @dataclass(frozen=True)
@@ -188,12 +187,6 @@ class FaultEnsemble:
     def magnitudes(self, omegas) -> np.ndarray:
         """dB magnitudes, shape (1 + n_faults, n_frequencies)."""
         return self._system.magnitudes(omegas)
-
-
-@lru_cache(maxsize=16)
-def _golden_system(circuit: Circuit) -> MnaSystem:
-    """Cached golden MNA system; circuits are immutable so reuse is safe."""
-    return MnaSystem(circuit, label=_GOLDEN_NAME)
 
 
 @lru_cache(maxsize=16)

@@ -36,20 +36,17 @@ cross-trajectory pairs of a random 2-frequency biquad vector (5% at 3
 frequencies, 20% at 1, where every pair is collinear). One loop feeds
 the kernel blocks of test vectors whose box-test matrices hold at most
 ``_BOX_ENTRIES`` entries, so its memory does not grow with the number of
-vectors. It takes each block's magnitudes from a callable: the GA passes
-a run-local dict of dB columns by frequency, which solves only the
-frequencies it lacks.
+vectors. It takes each block's magnitudes from a callable, so the caller
+chooses how they are solved.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SimulationError
 from .faultlib import FaultConfig, ensemble_for
 from .netlist import Circuit
 
@@ -64,11 +61,6 @@ OVERLAP = "overlap"
 # peak grows with the block: 0.65, 0.87, 1.12 and 1.99 MiB at 16, 24, 32
 # and 64.
 _BOX_ENTRIES = 32 * 56 * 56
-
-# Cap on the dB values (columns x (1 + faults)) a GA run's _ColumnStore
-# keeps, 2 MB: 4,599 biquad columns, where a population of 128
-# two-frequency vectors needs 256; 93 columns at 2,800 faults.
-_STORE_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -433,55 +425,6 @@ def _count_in_blocks(magnitudes, omegas, config: FaultConfig, tol, origin_tol) -
         hits = _incidences(p0, p1, layout, tol, origin_tol)[0]
         counts.append(np.bincount(hits, minlength=len(block)))
     return np.concatenate(counts)
-
-
-class _ColumnStore:
-    """Ensemble dB columns by frequency: the ``magnitudes`` of a GA run.
-
-    Called with a block's frequencies, it returns their (1 + faults, K)
-    columns and solves, in one ``solve`` call, only the frequencies it
-    holds no column for. A call that raises ``SimulationError`` is split
-    in halves down to the failing frequencies, which go to :attr:`failed`
-    with their error and get zero columns; each frequency is its own LU,
-    so no other column changes. Each column is kept as its own copy, so
-    no solve's array stays alive, and at most ``_STORE_VALUES`` values are
-    kept; past the cap a column serves its block and is dropped.
-    :meth:`keep` drops the frequencies of vectors that left the population.
-    """
-
-    def __init__(self, solve, rows: int):
-        self._solve = solve
-        self._rows = rows
-        self._columns: dict[float, np.ndarray] = {}
-        self.failed: dict[float, SimulationError] = {}
-
-    def keep(self, frequencies) -> None:
-        """Forget every column and failure not at one of ``frequencies``."""
-        self._columns = {f: c for f, c in self._columns.items() if f in frequencies}
-        self.failed = {f: e for f, e in self.failed.items() if f in frequencies}
-
-    def __call__(self, omegas) -> np.ndarray:
-        keys = omegas.tolist()
-        columns = self._columns
-        new = [f for f in dict.fromkeys(keys) if f not in columns]
-        if new:
-            fresh = dict(zip(new, (column.copy() for column in self._solve_each(new).T)))
-            room = _STORE_VALUES // self._rows - len(columns)
-            columns.update(itertools.islice(fresh.items(), room))
-            columns = columns | fresh
-        return np.array([columns[f] for f in keys]).T
-
-    def _solve_each(self, omegas: list[float]) -> np.ndarray:
-        try:
-            return self._solve(np.array(omegas))
-        except SimulationError as exc:
-            if len(omegas) == 1:
-                self.failed[omegas[0]] = exc
-                return np.zeros((self._rows, 1))
-            half = len(omegas) // 2
-            return np.concatenate(
-                [self._solve_each(omegas[:half]), self._solve_each(omegas[half:])], axis=1
-            )
 
 
 def write_trajectories_csv(path, trajectories) -> None:

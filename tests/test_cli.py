@@ -85,6 +85,15 @@ def test_config_file_round_trip(tmp_path):
         ({"grid": 1.5}, "integer"),
         ({"unit": "hz", "f_max": 1e308}, "GA"),  # finite, but not once scaled to rad/s
         ({"range_high": 1e300, "step": 1e-300}, "range_high is too many steps"),
+        # string fields take JSON strings only; targets a list of them or one
+        ({"outdir": None}, "'outdir': expected a string, got null"),
+        ({"outdir": ["a"]}, "'outdir': expected a string, got a list"),
+        ({"outdir": True}, "'outdir': expected a string, got a boolean"),
+        ({"netlist": 5}, "'netlist': expected a string, got a number"),
+        ({"unit": None}, "'unit': expected a string, got null"),
+        ({"targets": {"R1": 0, "C1": 1}}, "'targets': expected a list of .*, got an object"),
+        ({"targets": ["R1", 5]}, "'targets': expected a list of .*, got a list"),
+        ({"targets": 5}, "'targets': expected a list of .*, got a number"),
     ],
 )
 def test_malformed_configs_fail_fast(tmp_path, payload, fragment):
@@ -817,10 +826,19 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
         ".input V1\n.output out\n",
         encoding="utf-8",
     )
+    # the same run with non-ASCII file names from a --config file, which
+    # is read as UTF-8, gives the same bytes
+    named = tmp_path / "\u00b5.cir"
+    named.write_bytes(netlist.read_bytes())
     files, reports = {}, {}
     diagnose = ["diagnose", "--inject", "R\u00b51:0.2", "--targets", "R\u00b51,C1,R2,C2"]
     for utf8_mode in ("0", "1"):
         out = tmp_path / f"utf8-mode-{utf8_mode}"
+        config = tmp_path / f"utf8-mode-{utf8_mode}.json"
+        config.write_text(
+            json.dumps({"netlist": str(named), "outdir": str(tmp_path / f"o\u00b5t-{utf8_mode}")}),
+            encoding="utf-8",
+        )
         env = {
             **os.environ,
             "PYTHONPATH": str(Path(trajdiag.__file__).parents[1]),
@@ -828,15 +846,19 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
             "LC_ALL": "C",
             "PYTHONUTF8": utf8_mode,
         }
-        for command in (["simulate"], ["optimize"], ["plot-data"], diagnose):
-            proc = subprocess.run(
-                [sys.executable, "-m", "trajdiag", *command, "--netlist", str(netlist),
-                 "--outdir", str(out), *map(str, QUICK)],
-                capture_output=True, timeout=120, env=env,
-            )
-            assert proc.returncode == 0, (command, utf8_mode, proc.stderr)
+        flags = ["--netlist", str(netlist), "--outdir", str(out)]
+        for source in (flags, ["--config", str(config)]):
+            for command in (["simulate"], ["optimize"], ["plot-data"], diagnose):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "trajdiag", *command, *source, *map(str, QUICK)],
+                    capture_output=True, timeout=120, env=env,
+                )
+                assert proc.returncode == 0, (command, source, utf8_mode, proc.stderr)
+            reports[utf8_mode, source[0]] = proc.stdout
         files[utf8_mode] = {path.name: path.read_bytes() for path in out.iterdir()}
-        reports[utf8_mode] = proc.stdout
+        from_config = tmp_path / f"o\u00b5t-{utf8_mode}"
+        assert {path.name: path.read_bytes() for path in from_config.iterdir()} == files[utf8_mode]
+        assert reports[utf8_mode, "--config"] == reports[utf8_mode, "--netlist"]
     assert files["0"] == files["1"]
     assert sorted(files["0"]) == [
         "best_vector.json", "diagnosis.csv", "dictionary.csv", "ga_log.csv",
@@ -844,7 +866,8 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     ]
     for name in ("diagnosis.csv", "dictionary.csv", "trajectories.csv", "trajectories.svg"):
         assert "R\u00b51".encode() in files["0"][name], name
-    assert reports["0"] == reports["1"] and "R\u00b51".encode() in reports["0"]
+    report = reports["0", "--netlist"]
+    assert reports["1", "--netlist"] == report and "R\u00b51".encode() in report
 
 
 @pytest.mark.parametrize(

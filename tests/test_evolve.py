@@ -8,7 +8,7 @@ from trajdiag.errors import ConfigError, SimulationError
 from trajdiag.evolve import (
     Chromosome,
     GaConfig,
-    _counts,
+    _Scorer,
     fitness,
     fitness_from_intersections,
     roulette_select,
@@ -263,8 +263,7 @@ def test_ga_log_csv(tmp_path, biquad, biquad_faults):
 
 
 def _score(vectors, circuit, config):
-    rows = [list(tv.frequencies) for tv in vectors]
-    return _counts(rows, evolve._store(circuit, config), config, 1e-6, 1e-6)
+    return _Scorer(circuit, config, 1e-6, 1e-6)([tv.frequencies for tv in vectors])
 
 
 def test_batched_scores_equal_single_vector_fitness(biquad, biquad_faults):
@@ -381,7 +380,7 @@ def test_run_ga_store_cap(biquad, biquad_faults, monkeypatch, columns):
     _, expected = run_ga(biquad, biquad_faults, config)
     cap = columns * (1 + len(biquad_faults.faults))
     held = []
-    original = trajectory._ColumnStore.__call__
+    original = _Scorer._magnitudes
 
     def watched(self, omegas):
         result = original(self, omegas)
@@ -389,8 +388,8 @@ def test_run_ga_store_cap(biquad, biquad_faults, monkeypatch, columns):
         assert held[-1] <= cap
         return result
 
-    monkeypatch.setattr(trajectory, "_STORE_VALUES", cap)
-    monkeypatch.setattr(trajectory._ColumnStore, "__call__", watched)
+    monkeypatch.setattr(evolve, "_STORE_VALUES", cap)
+    monkeypatch.setattr(_Scorer, "_magnitudes", watched)
     _, log = run_ga(biquad, biquad_faults, config)
     assert log == expected
     assert held and max(held) == cap
