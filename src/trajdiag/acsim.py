@@ -7,15 +7,18 @@ reactance live in ``C``. Frequencies are angular (rad/s) throughout this
 module; the CLI converts from Hz when so configured. Magnitudes are
 reported in dB.
 
-Every AC response in the package comes from :meth:`MnaSystem.transfer`.
+Every AC response in the package comes from the one block loop behind
+:meth:`MnaSystem.transfer` and :meth:`MnaSystem.magnitudes`.
 A fault deviates one passive, which changes one two-terminal stamp, so a
 faulty matrix is ``A_0(w) + delta(w) u u^T``; one LU of the golden
 ``A_0(w)`` with right-hand sides ``[b | U]`` (the source vector and the
 stamp column of every passive) then gives every faulty output by the
 Sherman-Morrison formula (Sherman & Morrison 1950). Frequencies are
-solved in blocks of at most ``_BLOCK_ENTRIES`` complex entries, so memory
-stays at a few MB for any number of faults and frequencies; each
-frequency is its own LU, so results do not depend on blocking.
+solved in blocks of at most ``_BLOCK_ENTRIES`` complex entries, and each
+block's rows go straight into the one (rows, frequencies) result, as
+complex gains or as dB magnitudes; the working set is that result plus
+one block. Each frequency is its own LU, so results do not depend on
+blocking.
 """
 
 from __future__ import annotations
@@ -38,10 +41,20 @@ from .netlist import (
 
 _BRANCH_KINDS = (ElementKind.VSOURCE, ElementKind.VCVS, ElementKind.INDUCTOR)
 
-# frequencies x size x (size + 1 + passives) complex entries per batched solve;
-# the GA's biquad solve (8 x 7 x 15) fits in one block, the 18-passive ladder
-# at 201 points (19 x 38 per frequency) takes three
-_BLOCK_ENTRIES = 1 << 16
+# Complex entries per solve block: per frequency, A (size x size), the
+# solutions (size x (1 + passives)) and one value per result row. The GA's
+# biquad solve (64 frequencies at 162 entries) and diagnose's 2 frequencies
+# fit in one block; the 145-row ladder (867 per frequency) takes 18 a block.
+# Per FaultEnsemble.magnitudes call, fastest of interleaved runs and
+# tracemalloc peak (2-core Xeon, Python 3.11, numpy 2.4; the 60000-point
+# ladder's result alone is 66.4 MiB):
+#           ladder-201        biquad-64        biquad-256       ladder-60000
+#   1<<16   4.96 ms 2345 KiB  0.25 ms 481 KiB  1.30 ms 1817 KiB  1.60 s 68.4 MiB
+#   1<<15   4.56 ms 1274 KiB  0.26 ms 481 KiB  1.37 ms 1485 KiB  1.51 s 67.4 MiB
+#   1<<14   4.49 ms  738 KiB  0.25 ms 481 KiB  0.99 ms  841 KiB  1.77 s 66.9 MiB
+#   1<<13   5.10 ms  485 KiB  0.31 ms 383 KiB  1.12 ms  476 KiB  2.13 s 66.6 MiB
+#   1<<12   6.53 ms  344 KiB  0.35 ms 212 KiB  1.32 ms  298 KiB  2.72 s 66.5 MiB
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -194,75 +207,136 @@ class MnaSystem:
         not finite (a zero denominator included) is handed to
         :func:`_raise_failure` with its explicit matrices.
         """
+        return self._solve(omegas, db=False)
+
+    def magnitudes(self, omegas) -> np.ndarray:
+        """dB magnitudes 20*log10(|gain|), shape (rows, frequencies).
+
+        The same solve as :meth:`transfer`, each block's rows turned into dB
+        as it is solved; a zero magnitude raises, naming the row-major first.
+        """
+        return self._solve(omegas, db=True)
+
+    def _block(self) -> int:
+        """Frequencies per solve block: ``_BLOCK_ENTRIES`` complex entries of
+        ``A``, the solutions ``[x0 | Z]`` and one value per row."""
+        per_frequency = self.size * (self.size + self.rhs.shape[1]) + len(self.labels)
+        return max(1, _BLOCK_ENTRIES // per_frequency)
+
+    def _matrices(self, w) -> np.ndarray:
+        """``G + j*w*C`` at each of ``w``, built in place with that
+        expression's bits: its imaginary part is ``0 + w*C``, which turns an
+        underflowed ``-0.0`` into ``+0.0``."""
+        a = np.empty((len(w), self.size, self.size), dtype=complex)
+        a.real = self.g
+        np.multiply(w[:, None, None], self.c, out=a.imag)
+        a.imag += 0.0
+        return a
+
+    def _solve(self, omegas, db: bool) -> np.ndarray:
+        """Every row at every frequency, block by block, into one result: the
+        complex gains, or with ``db`` their dB magnitudes."""
         omegas = np.asarray(omegas, dtype=float)
         if omegas.ndim != 1 or len(omegas) == 0:
             raise ValueError("frequencies must be a non-empty 1-D sequence")
         if not ((omegas > 0.0) & (omegas < np.inf)).all():
             raise ValueError("frequencies must be positive and finite")
         column, dg, jdc = self._updates
-        block = max(1, _BLOCK_ENTRIES // (self.size * (self.size + self.rhs.shape[1])))
-        out = np.empty((len(self.labels), len(omegas)), dtype=complex)
+        rows, block = len(self.labels), self._block()
+        out = np.empty((rows, len(omegas)), dtype=float if db else complex)
+        # one block's fault rows, frequency-major, and its deltas
+        sm = np.empty((min(block, len(omegas)), rows - 1), dtype=complex)
+        delta = np.empty_like(sm)
+        gains = np.empty((rows, sm.shape[0]), dtype=complex) if db else None
+        bad_row = rows  # the first row with a value that is not finite
+        zero = None  # (row, column) of the row-major first zero magnitude
         for start in range(0, len(omegas), block):
             part = slice(start, start + block)
             w = omegas[part]
-            a = self.g + 1j * w[:, None, None] * self.c
+            a = self._matrices(w)
             # one (size, 1 + passives) right-hand side per frequency, stacked
             # explicitly: numpy 1.x reads a 2-D b against a 3-D a as vectors
             rhs = np.broadcast_to(self.rhs, (len(w), *self.rhs.shape))
             try:
                 x = np.linalg.solve(a, rhs)
             except np.linalg.LinAlgError:
-                _raise_failure(a, w, self.labels[0])
+                _raise_failure([(w, a)], self.labels[0])
+            del a  # the block's peak is its row arithmetic, without A
             # u.x0 and u.z of every passive, exact: u has at most two entries +-1
             ux0 = (x[:, :, 0] @ self.rhs)[:, column]
             uz = np.einsum("nk,fnk->fk", self.rhs, x)[:, column]
             x_out = x[:, self.out_index]
-            delta = dg + w[:, None] * jdc
+            t, d = sm[: len(w)], delta[: len(w)]
             with np.errstate(all="ignore"):
-                out[1:, part] = (
-                    x_out[:, :1] - delta * ux0 * x_out[:, column] / (1.0 + delta * uz)
-                ).T
-            out[0, part] = x_out[:, 0]
-        if not np.isfinite(out).all():
-            row = int(np.argmin(np.isfinite(out).all(axis=1)))
-            a = self.g + 1j * omegas[:, None, None] * self.c
-            if row:
-                u = self.rhs[:, column[row - 1]]
-                delta = dg[row - 1] + omegas * jdc[row - 1]
-                a = a + delta[:, None, None] * np.outer(u, u)
-            _raise_failure(a, omegas, self.labels[row])
+                np.multiply(w[:, None], jdc, out=d)
+                np.add(dg, d, out=d)
+                np.multiply(d, ux0, out=t)
+                np.multiply(t, x_out[:, column], out=t)
+                np.multiply(d, uz, out=d)
+                np.add(1.0, d, out=d)
+                np.divide(t, d, out=t)
+                np.subtract(x_out[:, :1], t, out=t)
+            h = gains[:, : len(w)] if db else out[:, part]
+            h[1:] = t.T
+            h[0] = x_out[:, 0]
+            result = out[:, part]
+            if db:
+                with np.errstate(all="ignore"):
+                    np.abs(h, out=result)
+                    np.log10(result, out=result)
+                    np.multiply(20.0, result, out=result)
+            # |h| is inf or nan where h is not finite, and log10 is -inf at 0 only
+            if not np.isfinite(result).all():
+                finite = np.isfinite(h).all(axis=1)
+                if not finite.all():
+                    bad_row = min(bad_row, int(np.argmin(finite)))
+                zeros = result == -np.inf
+                if db and zeros.any():
+                    row = int(np.argmax(zeros.any(axis=1)))
+                    if zero is None or row < zero[0]:
+                        zero = (row, start + int(np.argmax(zeros[row])))
+        if bad_row < rows:
+            _raise_failure(self._row_matrices(bad_row, omegas, block), self.labels[bad_row])
+        if zero is not None:
+            raise SimulationError(
+                f"{self.labels[zero[0]]} failed: zero output magnitude at "
+                f"omega={omegas[zero[1]]:g} rad/s"
+            )
         return out
 
-    def magnitudes(self, omegas) -> np.ndarray:
-        """dB magnitudes 20*log10(|gain|), shape (rows, frequencies)."""
-        mags = np.abs(self.transfer(omegas))
-        if not mags.all():
-            row, col = np.argwhere(mags == 0.0)[0]
-            raise SimulationError(
-                f"{self.labels[row]} failed: zero output magnitude at "
-                f"omega={np.asarray(omegas, dtype=float)[col]:g} rad/s"
-            )
-        return 20.0 * np.log10(mags)
+    def _row_matrices(self, row, omegas, block):
+        """``(w, matrices)`` of one row's explicit MNA matrices, block by block."""
+        column, dg, jdc = self._updates
+        for start in range(0, len(omegas), block):
+            w = omegas[start : start + block]
+            a = self._matrices(w)
+            if row:
+                u = self.rhs[:, column[row - 1]]
+                delta = dg[row - 1] + w * jdc[row - 1]
+                a = a + delta[:, None, None] * np.outer(u, u)
+            yield w, a
 
 
-def _raise_failure(matrices, omegas, label):
+def _raise_failure(blocks, label):
     """Name the first frequency at which one row's MNA matrix cannot be solved.
 
-    Non-finite entries are caught before ``np.linalg.cond``: LAPACK would
-    reject them with messages of its own on stdout.
+    ``blocks`` yields ``(omegas, matrices)`` in frequency order. Non-finite
+    entries are caught before ``np.linalg.cond``: LAPACK would reject them
+    with messages of its own on stdout.
     """
-    for omega, matrix in zip(omegas, matrices):
-        if not np.all(np.isfinite(matrix)):
-            raise SimulationError(
-                f"{label} failed: an MNA matrix entry is out of floating-point "
-                f"range at omega={omega:g} rad/s; check element values"
-            )
-        cond = np.linalg.cond(matrix)
-        if not np.isfinite(cond) or cond > 1e15:
-            raise SimulationError(
-                f"{label} failed: singular MNA system at omega={omega:g} rad/s "
-                f"(condition number {cond:.3e}); check circuit connectivity"
-            )
+    for omegas, matrices in blocks:
+        for omega, matrix in zip(omegas, matrices):
+            if not np.all(np.isfinite(matrix)):
+                raise SimulationError(
+                    f"{label} failed: an MNA matrix entry is out of floating-point "
+                    f"range at omega={omega:g} rad/s; check element values"
+                )
+            cond = np.linalg.cond(matrix)
+            if not np.isfinite(cond) or cond > 1e15:
+                raise SimulationError(
+                    f"{label} failed: singular MNA system at omega={omega:g} rad/s "
+                    f"(condition number {cond:.3e}); check circuit connectivity"
+                )
     raise SimulationError(f"{label} failed: MNA solve failed")
 
 

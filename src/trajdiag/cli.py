@@ -38,6 +38,7 @@ from .faultlib import (
     FaultSpec,
     build_dictionary,
     check_grid,
+    check_targets,
     enumerate_faults,
     evaluate_at,
     write_dictionary_csv,
@@ -105,6 +106,13 @@ class RunConfig:
             self.netlist = str(biquad_path())
         if not Path(self.netlist).is_file():
             raise ConfigError(f"config field 'netlist': file not found: {self.netlist}")
+        if not self.outdir:
+            raise ConfigError("config field 'outdir': must not be empty")
+        if self.targets is not None:
+            try:
+                check_targets(self.targets)
+            except ConfigError as exc:
+                raise ConfigError(f"config field 'targets': {exc}") from None
         self.unit = self.unit.lower()
         if self.unit not in _UNITS:
             raise ConfigError(
@@ -240,12 +248,12 @@ def _fault_config(config: RunConfig, circuit, pairs: bool = False) -> FaultConfi
     _check_work(rows * config.grid, _ROWS_X_GRID)
     if pairs:
         _check_work((rows - 1) ** 2, "config field 'step': faults x faults (segment pairs)")
-    fault_config = FaultConfig(targets, config.range_low, config.range_high, config.step)
     try:
+        fault_config = FaultConfig(targets, config.range_low, config.range_high, config.step)
         # every fault is built first, then each target checked by its most negative one
         for spec in enumerate_faults(fault_config)[:: len(fault_config.deviations())]:
             deviation_target(circuit, spec)
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"config field 'targets': {exc}") from None
     return fault_config
 

@@ -86,6 +86,15 @@ def check_grid(range_low: float, range_high: float, step: float) -> tuple[int, i
     return tuple(counts)
 
 
+def check_targets(targets: tuple[str, ...]) -> None:
+    """Raise ConfigError unless ``targets`` is non-empty and names no
+    component twice (the rule of :class:`FaultConfig`)."""
+    if not targets:
+        raise ConfigError("fault target list is empty")
+    if len(set(targets)) != len(targets):
+        raise ConfigError("duplicate fault target")
+
+
 @dataclass(frozen=True)
 class FaultConfig:
     """Fault targets plus the multiplier range and step of the deviation grid.
@@ -100,10 +109,7 @@ class FaultConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        if not self.targets:
-            raise ConfigError("fault target list is empty")
-        if len(set(self.targets)) != len(self.targets):
-            raise ConfigError("duplicate fault target")
+        check_targets(self.targets)
         below, above = check_grid(self.range_low, self.range_high, self.step)
         grid = tuple(round(k * self.step, 12) for k in range(-below, above + 1) if k != 0)
         object.__setattr__(self, "_deviations", grid)

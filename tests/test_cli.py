@@ -94,6 +94,11 @@ def test_config_file_round_trip(tmp_path):
         ({"targets": {"R1": 0, "C1": 1}}, "'targets': expected a list of .*, got an object"),
         ({"targets": ["R1", 5]}, "'targets': expected a list of .*, got a list"),
         ({"targets": 5}, "'targets': expected a list of .*, got a number"),
+        # an empty or repeating target list names its field, as an unknown id does
+        ({"targets": []}, "^config field 'targets': fault target list is empty$"),
+        ({"targets": ""}, "^config field 'targets': fault target list is empty$"),
+        ({"targets": ","}, "^config field 'targets': fault target list is empty$"),
+        ({"targets": ["R1", "R1"]}, "^config field 'targets': duplicate fault target$"),
     ],
 )
 def test_malformed_configs_fail_fast(tmp_path, payload, fragment):
@@ -212,6 +217,19 @@ def test_simulate_writes_dictionary(tmp_path, capsys):
     assert len(lines) == 1 + 57 * 10  # 10 rows per curve group
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_outdir_exit_2_writing_nothing(tmp_path, capsys, monkeypatch, source):
+    # "" would be the current directory; only ``netlist`` reads "" as a default
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"outdir": "", "netlist": ""}))
+    args = ["--outdir", ""] if source == "flag" else ["--config", config]
+    assert run(["simulate", "--grid", 3] + args) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: config field 'outdir': must not be empty"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
 def test_simulate_missing_netlist_exit_2(tmp_path, capsys):
     code = run(["simulate", "--netlist", "/no/such.cir", "--outdir", tmp_path])
     assert code == 2
@@ -250,12 +268,26 @@ def test_simulate_hz_unit(tmp_path):
 
 @pytest.mark.parametrize(
     "target,fragment",
-    [("E1", "E1: only resistor/capacitor/inductor"), ("X9", "unknown component 'X9'")],
+    [
+        ("E1", "E1: only resistor/capacitor/inductor"),
+        ("X9", "unknown component 'X9'"),
+        (",", "fault target list is empty"),
+        ("R1,R1", "duplicate fault target"),
+    ],
 )
 def test_simulate_bad_target_exit_2(tmp_path, capsys, target, fragment):
     assert run(["simulate", "--outdir", tmp_path / "out", "--targets", target]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: config field 'targets': ") and fragment in line
+
+
+def test_netlist_without_passives_names_targets(tmp_path, capsys):
+    # with targets unset, the fault targets are the netlist's passives: none here
+    netlist = tmp_path / "gain.cir"
+    netlist.write_text("V1 in 0 1\nE1 out 0 in 0 2\n.input V1\n.output out\n")
+    assert run(["simulate", "--netlist", netlist, "--outdir", tmp_path / "out"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: config field 'targets': fault target list is empty"
 
 
 def _tripwire(*args, **kwargs):
@@ -398,6 +430,35 @@ def test_ground_output_exit_2(tmp_path, capsys, command):
     code = run([command, "--netlist", netlist, "--outdir", tmp_path / "out"])
     assert code == 2
     assert "ground" in capsys.readouterr().err
+
+
+PROBE_NETLISTS = {
+    "self-loop resistor": "V1 in 0 1\nR1 in out 1\nR9 out out 5\nC1 out 0 1\n",
+    "inductor loop": "V1 in 0 1\nR1 in out 1\nL1 out 0 1\nL2 out 0 2\nC1 out 0 1\n",
+    "1e-300 values": "V1 in 0 1\nR1 in out 1e-300\nR2 out 0 1e-300\nC1 out 0 1e-300\n",
+    "1e300 R and L": "V1 in 0 1\nR1 in out 1e300\nC1 out 0 1e-300\nL1 out 0 1e300\n",
+    "1e300 C": "V1 in 0 1\nR1 in out 1e-300\nC1 out 0 1e300\nL1 out 0 1e-300\n",
+}
+PROBE_FLAGS = {"single target": ["--targets", "R1"], "40 frequencies": ["--n-frequencies", 40]}
+
+
+@pytest.mark.parametrize(
+    "netlist,flags",
+    [(name, []) for name in PROBE_NETLISTS] + [("biquad", flags) for flags in PROBE_FLAGS.values()],
+    ids=list(PROBE_NETLISTS) + list(PROBE_FLAGS),
+)
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_edge_circuits_and_flags_run(tmp_path, command, netlist, flags):
+    # circuits and flags at the edges of what the solve accepts still run to
+    # exit 0 through the block-streamed solve
+    path = biquad_path()
+    if netlist != "biquad":
+        path = tmp_path / "probe.cir"
+        path.write_text(PROBE_NETLISTS[netlist] + ".input V1\n.output out\n")
+    args = [command, "--netlist", path, "--outdir", tmp_path / "out", "--grid", 21]
+    if command == "optimize":
+        args += ["--population-size", 8, "--generations", 1]
+    assert run(args + flags) == 0
 
 
 def test_unparseable_netlist_exit_2(tmp_path, capsys):

@@ -226,17 +226,15 @@ def test_ensemble_matches_direct_solves():
     # of the benchmark's sweep check) of a direct LU of that variant's own
     # G + jwC, on seeded R/C/L + vcvs circuits whose frequencies split into
     # several solve blocks
-    from trajdiag.acsim import _BLOCK_ENTRIES, MnaSystem
     from trajdiag.faultlib import FaultEnsemble
 
     omegas = np.geomspace(0.05, 20.0, 1200)
     for seed in range(6):
         circuit = parse_netlist(random_rlc_vcvs_netlist(np.random.default_rng(seed)))
         config = FaultConfig(circuit.passive_ids())
-        mags = FaultEnsemble(circuit, config).magnitudes(omegas)
-        size = MnaSystem(circuit).size
-        per_block = _BLOCK_ENTRIES // (size * (size + 1 + len(config.targets)))
-        assert len(omegas) > 2 * per_block
+        ensemble = FaultEnsemble(circuit, config)
+        mags = ensemble.magnitudes(omegas)
+        assert len(omegas) > 2 * ensemble._system._block()
         reference = reference_gains(circuit, enumerate_faults(config), omegas)
         assert np.max(np.abs(mags - 20.0 * np.log10(np.abs(reference)))) <= 1e-9, seed
 
@@ -245,7 +243,6 @@ def test_ensemble_columns_do_not_depend_on_their_batch(biquad):
     # a frequency's column is the same bit for bit whether it is solved
     # alone, with others, in another order or across solve blocks; the GA
     # keeps columns by frequency and reuses them in other batches
-    from trajdiag.acsim import _BLOCK_ENTRIES, MnaSystem
     from trajdiag.faultlib import FaultEnsemble
 
     rng = np.random.default_rng(3300)
@@ -253,8 +250,7 @@ def test_ensemble_columns_do_not_depend_on_their_batch(biquad):
     for circuit in (biquad, ladder):
         config = FaultConfig(circuit.passive_ids())
         ensemble = FaultEnsemble(circuit, config)
-        size = MnaSystem(circuit).size
-        per_block = _BLOCK_ENTRIES // (size * (size + 1 + len(config.targets)))
+        per_block = ensemble._system._block()
         for count in (2, 7, per_block + 1, 2 * per_block + 5):
             omegas = 10.0 ** rng.uniform(-2.0, 2.0, count)
             whole = ensemble.magnitudes(omegas)
@@ -262,6 +258,98 @@ def test_ensemble_columns_do_not_depend_on_their_batch(biquad):
             np.testing.assert_array_equal(ensemble.magnitudes(omegas[order]), whole[:, order])
             for k, omega in enumerate(omegas.tolist()):
                 np.testing.assert_array_equal(ensemble.magnitudes([omega])[:, 0], whole[:, k])
+
+
+def test_magnitudes_working_set_is_the_result_plus_one_block():
+    # each solve block's dB rows go straight into the one result, so no
+    # full-size complex or boolean array is held beside it
+    from trajdiag.faultlib import FaultEnsemble
+
+    circuit = parse_netlist(random_rlc_vcvs_netlist(np.random.default_rng(4)))
+    ensemble = FaultEnsemble(circuit, FaultConfig(circuit.passive_ids()))
+    omegas = np.geomspace(0.05, 20.0, 20_000)
+    ensemble.magnitudes(omegas[:3])
+    tracemalloc.start()
+    try:
+        mags = ensemble.magnitudes(omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mags.shape[0] > 40 and peak <= mags.nbytes + 2 * 2**20, (peak, mags.nbytes)
+
+
+def _per_frequency(system):
+    """Solve-block entries one frequency of ``system`` takes."""
+    return system.size * (system.size + system.rhs.shape[1]) + len(system.labels)
+
+
+@pytest.mark.parametrize("per_block", [1, 3])
+def test_blocked_magnitudes_are_the_db_of_transfer(monkeypatch, biquad, per_block):
+    # 25 frequencies at 1 or 3 a block (the last one ragged): the dB rows
+    # written block by block equal 20 log10 |transfer| and the one-block
+    # result bit for bit
+    from trajdiag import acsim
+    from trajdiag.faultlib import FaultEnsemble
+
+    omegas = 10.0 ** np.random.default_rng(77).uniform(-2.0, 2.0, 25)
+    ladder = parse_netlist(random_rlc_vcvs_netlist(np.random.default_rng(1)))
+    for circuit in (biquad, ladder):
+        system = FaultEnsemble(circuit, FaultConfig(circuit.passive_ids()))._system
+        whole = system.magnitudes(omegas)
+        assert system._block() >= len(omegas)
+        monkeypatch.setattr(acsim, "_BLOCK_ENTRIES", per_block * _per_frequency(system))
+        assert system._block() == per_block
+        mags = system.magnitudes(omegas)
+        assert mags.tobytes() == whole.tobytes()
+        assert mags.tobytes() == (20.0 * np.log10(np.abs(system.transfer(omegas)))).tobytes()
+        monkeypatch.undo()
+
+
+# an RC lowpass whose output underflows to exactly 0 near 7e161 rad/s; with
+# C1 at 2.5x or 3x nominal some fault rows reach 0 at lower frequencies
+UNDERFLOW_RC = "V1 in 0 1\nR1 in a 1\nC1 a 0 1\nR2 a out 1\nC2 out 0 1\n.input V1\n.output out\n"
+SINGULAR_R2 = "V1 in 0 1\nR1 in a 1\nR2 a b 2\nE1 b 0 a 0 2\nR3 b 0 1\n.input V1\n.output b\n"
+
+
+@pytest.mark.parametrize(
+    "text,config,omegas,message",
+    [
+        # the row-major first zero: golden's, in the third block, though
+        # fault rows are zero in the first and a later golden zero has a
+        # smaller frequency
+        (UNDERFLOW_RC, (("C1", "C2"), 0.5, 3.0, 0.5),
+         [1.0, 2.0, 4e161, 3.0, 4.0, 5.0, 6.0, 1e170, 8.0, 9.0, 7e161],
+         "golden circuit failed: zero output magnitude at omega=1e+170 rad/s"),
+        # row 4's zero in the third block, after row 5's in the first
+        (UNDERFLOW_RC, (("C1", "C2"), 0.5, 3.0, 0.5),
+         [1.0, 2.0, 3.9e161, 3.0, 4.0, 5.0, 6.0, 4e161, 8.0],
+         "fault (C1, +1.5) failed: zero output magnitude at omega=4e+161 rad/s"),
+        # w dC overflows only at the third block's 1e9 rad/s
+        ("V1 in 0 1\nR1 in out 1\nC1 out 0 1e300\n.input V1\n.output out\n",
+         (("R1", "C1"), 0.5, 1.5, 0.5),
+         [1e-300, 2e-300, 3e-300, 4e-300, 5e-300, 6e-300, 7e-300, 1e9, 8e-300],
+         "fault (C1, -0.5) failed: an MNA matrix entry is out of floating-point range "
+         "at omega=1e+09 rad/s; check element values"),
+        # halving R2 is singular at every frequency: the first is named
+        (SINGULAR_R2, (("R1", "R2", "R3"), 0.5, 1.4, 0.1),
+         [0.01, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+         "fault (R2, -0.5) failed: singular MNA system at omega=0.01 rad/s "
+         "(condition number 1.635e+17); check circuit connectivity"),
+    ],
+    ids=["golden-zero", "fault-zero", "overflow", "singular-R2"],
+)
+def test_failures_are_named_across_blocks(monkeypatch, text, config, omegas, message):
+    # one block, then three frequencies a block: the same message
+    from trajdiag import acsim
+    from trajdiag.faultlib import FaultEnsemble
+
+    system = FaultEnsemble(parse_netlist(text), FaultConfig(*config))._system
+    for per_block in (len(omegas), 3):
+        monkeypatch.setattr(acsim, "_BLOCK_ENTRIES", per_block * _per_frequency(system))
+        assert system._block() == per_block
+        with np.errstate(all="ignore"), pytest.raises(td.SimulationError) as failure:
+            system.magnitudes(omegas)
+        assert str(failure.value) == message
 
 
 def test_evaluate_at_matches_ensemble_row(biquad, biquad_faults):
