@@ -6,7 +6,7 @@ then classify unknown responses by nearest trajectory segment.
 """
 
 from .acsim import ResponseCurve, log_grid, solve_ac, sweep
-from .diagnose import DiagnosisResult, Hypothesis, classify, project
+from .diagnose import DiagnosisResult, Hypothesis, classify
 from .errors import ConfigError, NetlistError, SimulationError, TrajdiagError
 from .evolve import (
     Chromosome,
@@ -78,7 +78,6 @@ __all__ = [
     "fitness_from_intersections",
     "log_grid",
     "parse_netlist",
-    "project",
     "render_netlist",
     "roulette_select",
     "run_ga",

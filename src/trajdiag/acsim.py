@@ -226,11 +226,13 @@ class MnaSystem:
     def _matrices(self, w) -> np.ndarray:
         """``G + j*w*C`` at each of ``w``, built in place with that
         expression's bits: its imaginary part is ``0 + w*C``, which turns an
-        underflowed ``-0.0`` into ``+0.0``."""
+        underflowed ``-0.0`` into ``+0.0``. Overflow is silent here:
+        :func:`_raise_failure` names an entry out of range."""
         a = np.empty((len(w), self.size, self.size), dtype=complex)
         a.real = self.g
-        np.multiply(w[:, None, None], self.c, out=a.imag)
-        a.imag += 0.0
+        with np.errstate(all="ignore"):
+            np.multiply(w[:, None, None], self.c, out=a.imag)
+            a.imag += 0.0
         return a
 
     def _solve(self, omegas, db: bool) -> np.ndarray:
@@ -312,8 +314,9 @@ class MnaSystem:
             a = self._matrices(w)
             if row:
                 u = self.rhs[:, column[row - 1]]
-                delta = dg[row - 1] + w * jdc[row - 1]
-                a = a + delta[:, None, None] * np.outer(u, u)
+                with np.errstate(all="ignore"):
+                    delta = dg[row - 1] + w * jdc[row - 1]
+                    a = a + delta[:, None, None] * np.outer(u, u)
             yield w, a
 
 

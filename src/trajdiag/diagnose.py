@@ -13,41 +13,19 @@ that has length, so no candidate is lost. The deviation estimate
 interpolates the matched segment's endpoint deviations; it is an
 extension beyond component identification and is labelled as such in
 reports.
+
+:func:`classify` projects the query onto every segment of every
+trajectory in one numpy pass over arrays it builds per call; no
+per-segment projection is part of the API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-
-class ProjectionResult(NamedTuple):
-    t: float
-    distance: float
-    has_perpendicular: bool
-
-
-def project(point, segment) -> ProjectionResult:
-    """Orthogonal projection of ``point`` onto a segment.
-
-    ``t`` is the clamped [0, 1] parameter of the projection foot;
-    ``has_perpendicular`` tells whether the unclamped foot lies inside;
-    ``distance`` is Euclidean distance to the clamped foot.
-    """
-    p = np.asarray(point, dtype=float)
-    a = np.asarray(segment[0], dtype=float)
-    b = np.asarray(segment[1], dtype=float)
-    d = b - a
-    length_sq = float(d @ d)
-    if length_sq == 0.0:
-        raise ValueError("zero-length segment")
-    t_raw = float((p - a) @ d) / length_sq
-    t = min(1.0, max(0.0, t_raw))
-    foot = a + t * d
-    distance = float(np.sqrt((p - foot) @ (p - foot)))
-    return ProjectionResult(t, distance, 0.0 <= t_raw <= 1.0)
+from .trajectory import _dot
 
 
 @dataclass(frozen=True)
@@ -72,7 +50,11 @@ def classify(
     ambiguity_margin: float = 0.05,
     origin_tol: float = 1e-6,
 ) -> DiagnosisResult:
-    """Rank components by distance from the query to their trajectories."""
+    """Rank components by distance from the query to their trajectories.
+
+    Raises ``ValueError`` for no trajectories, mixed dimensions, or a query
+    of the wrong dimension or with a non-finite coordinate.
+    """
     trajectories = list(trajectories)
     if not trajectories:
         raise ValueError("no trajectories to classify against")
@@ -85,38 +67,55 @@ def classify(
         raise ValueError(
             f"query dimension {query.shape} does not match trajectories ({n})"
         )
+    if not np.isfinite(query).all():
+        raise ValueError("query has a non-finite coordinate")
     if float(np.sqrt(query @ query)) <= origin_tol:
         return DiagnosisResult((), ambiguous=False, nominal=True)
 
-    hypotheses = []
-    for trajectory in trajectories:
-        points, deviations = trajectory.points, trajectory.deviations.tolist()
-        steps = np.diff(points, axis=0)
-        perpendicular: list[Hypothesis] = []
-        fallback: list[Hypothesis] = []
-        for index, length_sq in enumerate(np.einsum("ij,ij->i", steps, steps).tolist()):
-            if length_sq == 0.0:
-                continue  # a repeated point: its neighbouring segments end there
-            a = points[index]
-            result = project(query, (a, points[index + 1]))
-            foot = a + result.t * steps[index]
-            if float(np.sqrt(foot @ foot)) <= origin_tol:
-                continue  # the shared golden point is not evidence
-            start, end = deviations[index], deviations[index + 1]
-            hypothesis = Hypothesis(
-                trajectory.component,
-                result.distance,
-                start + result.t * (end - start),
-                index,
-                result.has_perpendicular,
-            )
-            (perpendicular if result.has_perpendicular else fallback).append(hypothesis)
-        candidates = perpendicular or fallback
-        if candidates:
-            hypotheses.append(
-                min(candidates, key=lambda h: (h.distance, h.segment_index))
-            )
+    # every segment of every trajectory, in one array: segment k of the
+    # concatenation runs from point k to point k + 1, except across the
+    # end of a trajectory; zero-length segments are repeated points
+    sizes = np.array([len(t.deviations) for t in trajectories])
+    ends = np.cumsum(sizes) - 1
+    points = np.concatenate([t.points for t in trajectories])
+    steps = np.diff(points, axis=0)
+    length_sq = _dot(steps, steps)
+    segment = length_sq != 0.0
+    segment[ends[:-1]] = False
+    start = np.flatnonzero(segment)
+    owner = np.searchsorted(ends, start)
+    a, d, length_sq = points[start], steps[start], length_sq[start]
 
+    # project's order of operations: t_raw is exactly 0 or 1 at a segment's ends
+    t_raw = _dot(query - a, d) / length_sq
+    t = np.clip(t_raw, 0.0, 1.0)
+    foot = a + t[:, None] * d
+    gap = query - foot
+    distance = np.sqrt(_dot(gap, gap))
+    perpendicular = (0.0 <= t_raw) & (t_raw <= 1.0)
+    # the shared golden point is not evidence
+    kept = np.flatnonzero(np.sqrt(_dot(foot, foot)) > origin_tol)
+
+    # per trajectory: perpendicular candidates first, then by distance and
+    # segment; the first of each trajectory is its hypothesis
+    order = kept[np.lexsort((start[kept], distance[kept], ~perpendicular[kept], owner[kept]))]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = owner[order[1:]] != owner[order[:-1]]
+    best = order[first]
+    deviations = np.concatenate([t.deviations for t in trajectories])
+    low, high = deviations[start[best]], deviations[start[best] + 1]
+    estimate = low + t[best] * (high - low)
+    index = start[best] - (ends - sizes + 1)[owner[best]]
+    hypotheses = [
+        Hypothesis(trajectories[k].component, dist, est, i, flag)
+        for k, dist, est, i, flag in zip(
+            owner[best].tolist(),
+            distance[best].tolist(),
+            estimate.tolist(),
+            index.tolist(),
+            perpendicular[best].tolist(),
+        )
+    ]
     hypotheses.sort(key=lambda h: (h.distance, h.component))
     ambiguous = (
         len(hypotheses) >= 2

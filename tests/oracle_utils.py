@@ -9,13 +9,16 @@ the batch form of the kernel that the scalar reference checks. The solve
 reference computes each fault variant's gains from its own stamped
 matrices, one dense LU per circuit and frequency. The dictionary writer
 reference writes ``dictionary.csv`` one value at a time, from the
-``golden`` and ``entries`` curves.
+``golden`` and ``entries`` curves. The classifier reference ranks a query
+with one scalar ``project`` call per trajectory segment.
 """
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
+from trajdiag.diagnose import DiagnosisResult, Hypothesis
 from trajdiag.netlist import deviation_target
 
 SAMPLES = 10_000
@@ -315,3 +318,69 @@ def reference_dictionary_csv(path, dictionary, frequencies=None):
                 fh.write(
                     f"{spec.component},{spec.deviation:.17g},{f:.17g},{m:.17g}\n"
                 )
+
+
+class ProjectionResult(NamedTuple):
+    t: float
+    distance: float
+    has_perpendicular: bool
+
+
+def project(point, segment) -> ProjectionResult:
+    """Orthogonal projection of ``point`` onto a segment.
+
+    ``t`` is the clamped [0, 1] parameter of the projection foot;
+    ``has_perpendicular`` tells whether the unclamped foot lies inside;
+    ``distance`` is Euclidean distance to the clamped foot.
+    """
+    p = np.asarray(point, dtype=float)
+    a = np.asarray(segment[0], dtype=float)
+    b = np.asarray(segment[1], dtype=float)
+    d = b - a
+    length_sq = float(d @ d)
+    if length_sq == 0.0:
+        raise ValueError("zero-length segment")
+    t_raw = float((p - a) @ d) / length_sq
+    t = min(1.0, max(0.0, t_raw))
+    foot = a + t * d
+    distance = float(np.sqrt((p - foot) @ (p - foot)))
+    return ProjectionResult(t, distance, 0.0 <= t_raw <= 1.0)
+
+
+def reference_classify(point, trajectories, ambiguity_margin=0.05, origin_tol=1e-6):
+    """``classify`` as a loop over each trajectory's segments, one
+    ``project`` call each; the query is taken as valid."""
+    query = np.asarray(point, dtype=float)
+    if float(np.sqrt(query @ query)) <= origin_tol:
+        return DiagnosisResult((), ambiguous=False, nominal=True)
+    hypotheses = []
+    for trajectory in trajectories:
+        points, deviations = trajectory.points, trajectory.deviations.tolist()
+        steps = np.diff(points, axis=0)
+        perpendicular, fallback = [], []
+        for index, length_sq in enumerate(np.einsum("ij,ij->i", steps, steps).tolist()):
+            if length_sq == 0.0:
+                continue  # a repeated point: its neighbouring segments end there
+            a = points[index]
+            result = project(query, (a, points[index + 1]))
+            foot = a + result.t * steps[index]
+            if float(np.sqrt(foot @ foot)) <= origin_tol:
+                continue  # the shared golden point is not evidence
+            start, end = deviations[index], deviations[index + 1]
+            hypothesis = Hypothesis(
+                trajectory.component,
+                result.distance,
+                start + result.t * (end - start),
+                index,
+                result.has_perpendicular,
+            )
+            (perpendicular if result.has_perpendicular else fallback).append(hypothesis)
+        candidates = perpendicular or fallback
+        if candidates:
+            hypotheses.append(min(candidates, key=lambda h: (h.distance, h.segment_index)))
+    hypotheses.sort(key=lambda h: (h.distance, h.component))
+    ambiguous = (
+        len(hypotheses) >= 2
+        and hypotheses[1].distance - hypotheses[0].distance < ambiguity_margin
+    )
+    return DiagnosisResult(tuple(hypotheses), ambiguous=ambiguous)

@@ -423,6 +423,22 @@ def test_out_of_range_mna_entry_exit_1(tmp_path):
     assert "golden circuit failed" in line and "out of floating-point range" in line
 
 
+def test_overflowing_solve_exit_1_with_one_line(tmp_path):
+    # w*C overflows at the top frequency: numpy's RuntimeWarnings stay off
+    # stderr, which holds only the error line
+    netlist = tmp_path / "huge-c.cir"
+    netlist.write_text("V1 in 0 1\nR1 in out 1\nC1 out 0 1e300\n.input V1\n.output out\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "trajdiag", "simulate", "--netlist", str(netlist),
+         "--outdir", str(tmp_path / "out"), "--grid", "5", "--f-min", "1e-300", "--f-max", "1e9"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(trajdiag.__file__).parents[1])},
+    )
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "failed" in line
+
+
 @pytest.mark.parametrize("command", ["simulate", "optimize"])
 def test_ground_output_exit_2(tmp_path, capsys, command):
     netlist = tmp_path / "ground.cir"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajdiag.diagnose import classify, project
+from trajdiag.diagnose import classify
 from trajdiag.faultlib import FaultSpec, evaluate_at
 from trajdiag.trajectory import (
     TestVector,
@@ -14,6 +14,7 @@ from trajdiag.trajectory import (
 )
 
 from conftest import ORACLE_VECTOR
+from oracle_utils import project, reference_classify
 
 
 def make_trajectory(component, pts, devs=None):
@@ -235,6 +236,15 @@ def test_classify_validation(biquad_setup):
         classify((1.0, 2.0), [])
 
 
+@pytest.mark.parametrize("query", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.0)])
+def test_classify_rejects_non_finite_query(biquad_setup, query):
+    # the segment loop ranked 7 NaN distances here; a one-pass ranking
+    # would drop them all and return an empty ranking instead
+    _, trajectories, _ = biquad_setup
+    with pytest.raises(ValueError, match="non-finite"):
+        classify(query, trajectories)
+
+
 def test_report_and_csv(tmp_path, biquad_setup):
     from trajdiag.diagnose import format_report, write_diagnosis_csv
 
@@ -262,3 +272,57 @@ def test_classify_invariant_under_trajectory_order(biquad_setup, query, order, m
     _, trajectories, _ = biquad_setup
     shuffled = [trajectories[k] for k in order]
     assert classify(query, shuffled, margin) == classify(query, trajectories, margin)
+
+
+# coordinates from a few exact values and from ranges, so that points
+# repeat (zero-length segments) and sit on the origin or on each other
+COORDINATES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def trajectory_sets(draw, n):
+    point = st.tuples(*[COORDINATES] * n)
+    trajectories = []
+    for k in range(draw(st.integers(1, 4))):
+        below, above = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        if below + above == 0:
+            above = 1
+        points = draw(st.lists(point, min_size=below + above, max_size=below + above))
+        repeat = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+        rows = [*points[:below], (0.0,) * n, *points[below:]]
+        for i, again in enumerate(repeat, start=1):
+            if again and i != below:  # a repeated point: a zero-length segment
+                rows[i] = rows[i - 1]
+        deviations = [0.1 * (i - below) for i in range(len(rows))]
+        trajectories.append(Trajectory(f"T{k}", deviations, rows))
+    # the query: anywhere, or a multiple of a trajectory point, which puts
+    # it on that point, on its segment out of the origin, or behind the
+    # origin so that the foot is the origin itself
+    rows = [row for t in trajectories for row in t.points.tolist() if any(row)] or [(1.0,) * n]
+    scale = draw(st.sampled_from([1.0, 0.5, -0.5, -1.0, -2.0, 3.0]))
+    query = draw(st.one_of(
+        st.tuples(*[COORDINATES] * n),
+        st.sampled_from(rows).map(lambda row: tuple(scale * x for x in row)),
+    ))
+    return trajectories, query
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classify_matches_segment_loop(n):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(trajectory_sets(n))
+    def check(case):
+        trajectories, query = case
+        result = classify(query, trajectories)
+        expected = reference_classify(query, trajectories)
+        assert result.nominal == expected.nominal
+        assert [
+            (h.component, h.segment_index, h.via_perpendicular) for h in result.hypotheses
+        ] == [
+            (h.component, h.segment_index, h.via_perpendicular) for h in expected.hypotheses
+        ]
+        for got, want in zip(result.hypotheses, expected.hypotheses):
+            assert abs(got.distance - want.distance) <= 1e-12
+            assert abs(got.estimated_deviation - want.estimated_deviation) <= 1e-12
+
+    check()
