@@ -86,7 +86,8 @@ def classify(
     owner = np.searchsorted(ends, start)
     a, d, length_sq = points[start], steps[start], length_sq[start]
 
-    # project's order of operations: t_raw is exactly 0 or 1 at a segment's ends
+    # a scalar projection's order of operations, ((q - a).d) / (d.d): t_raw is
+    # exactly 0 or 1 when the query is one of the segment's ends
     t_raw = _dot(query - a, d) / length_sq
     t = np.clip(t_raw, 0.0, 1.0)
     foot = a + t[:, None] * d

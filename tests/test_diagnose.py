@@ -238,8 +238,7 @@ def test_classify_validation(biquad_setup):
 
 @pytest.mark.parametrize("query", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.0)])
 def test_classify_rejects_non_finite_query(biquad_setup, query):
-    # the segment loop ranked 7 NaN distances here; a one-pass ranking
-    # would drop them all and return an empty ranking instead
+    # every distance from such a query is NaN, which no ranking can order
     _, trajectories, _ = biquad_setup
     with pytest.raises(ValueError, match="non-finite"):
         classify(query, trajectories)
