@@ -203,9 +203,11 @@ class MnaSystem:
         Frequencies are angular, in any order, positive and finite. With
         the golden solution ``x0`` and ``z = A_0^-1 u`` of a fault's stamp
         column, the Sherman-Morrison formula gives its output as
-        ``x0[out] - delta (u.x0) z[out] / (1 + delta u.z)``. A row that is
-        not finite (a zero denominator included) is handed to
-        :func:`_raise_failure` with its explicit matrices.
+        ``x0[out] - delta (u.x0) z[out] / (1 + delta u.z)``. A value that is
+        not finite (a zero denominator included) raises for the first such
+        row and, in that row, the first such frequency in the order given:
+        :func:`_raise_failure` names it and the cause its explicit matrix
+        shows there.
         """
         return self._solve(omegas, db=False)
 
@@ -213,7 +215,8 @@ class MnaSystem:
         """dB magnitudes 20*log10(|gain|), shape (rows, frequencies).
 
         The same solve as :meth:`transfer`, each block's rows turned into dB
-        as it is solved; a zero magnitude raises, naming the row-major first.
+        as it is solved. A zero magnitude raises only where no value is
+        non-finite, naming the row-major first.
         """
         return self._solve(omegas, db=True)
 
@@ -226,121 +229,102 @@ class MnaSystem:
     def _matrices(self, w) -> np.ndarray:
         """``G + j*w*C`` at each of ``w``, built in place with that
         expression's bits: its imaginary part is ``0 + w*C``, which turns an
-        underflowed ``-0.0`` into ``+0.0``. Overflow is silent here:
+        underflowed ``-0.0`` into ``+0.0``. Callers silence overflow:
         :func:`_raise_failure` names an entry out of range."""
         a = np.empty((len(w), self.size, self.size), dtype=complex)
         a.real = self.g
-        with np.errstate(all="ignore"):
-            np.multiply(w[:, None, None], self.c, out=a.imag)
-            a.imag += 0.0
+        np.multiply(w[:, None, None], self.c, out=a.imag)
+        a.imag += 0.0
         return a
 
     def _solve(self, omegas, db: bool) -> np.ndarray:
         """Every row at every frequency, block by block, into one result: the
-        complex gains, or with ``db`` their dB magnitudes."""
+        complex gains, or with ``db`` their dB magnitudes. A failure is the
+        least ``(kind, row, position)`` over the blocks, a value that is not
+        finite (kind 0) before a zero magnitude (kind 1)."""
         omegas = np.asarray(omegas, dtype=float)
         if omegas.ndim != 1 or len(omegas) == 0:
             raise ValueError("frequencies must be a non-empty 1-D sequence")
         if not ((omegas > 0.0) & (omegas < np.inf)).all():
             raise ValueError("frequencies must be positive and finite")
         column, dg, jdc = self._updates
-        rows, block = len(self.labels), self._block()
-        out = np.empty((rows, len(omegas)), dtype=float if db else complex)
-        # one block's fault rows, frequency-major, and its deltas
-        sm = np.empty((min(block, len(omegas)), rows - 1), dtype=complex)
-        delta = np.empty_like(sm)
-        gains = np.empty((rows, sm.shape[0]), dtype=complex) if db else None
-        bad_row = rows  # the first row with a value that is not finite
-        zero = None  # (row, column) of the row-major first zero magnitude
-        for start in range(0, len(omegas), block):
-            part = slice(start, start + block)
-            w = omegas[part]
-            a = self._matrices(w)
-            # one (size, 1 + passives) right-hand side per frequency, stacked
-            # explicitly: numpy 1.x reads a 2-D b against a 3-D a as vectors
-            rhs = np.broadcast_to(self.rhs, (len(w), *self.rhs.shape))
-            try:
-                x = np.linalg.solve(a, rhs)
-            except np.linalg.LinAlgError:
-                _raise_failure([(w, a)], self.labels[0])
-            del a  # the block's peak is its row arithmetic, without A
-            # u.x0 and u.z of every passive, exact: u has at most two entries +-1
-            ux0 = (x[:, :, 0] @ self.rhs)[:, column]
-            uz = np.einsum("nk,fnk->fk", self.rhs, x)[:, column]
-            x_out = x[:, self.out_index]
-            t, d = sm[: len(w)], delta[: len(w)]
-            with np.errstate(all="ignore"):
-                np.multiply(w[:, None], jdc, out=d)
-                np.add(dg, d, out=d)
-                np.multiply(d, ux0, out=t)
-                np.multiply(t, x_out[:, column], out=t)
-                np.multiply(d, uz, out=d)
-                np.add(1.0, d, out=d)
-                np.divide(t, d, out=t)
-                np.subtract(x_out[:, :1], t, out=t)
-            h = gains[:, : len(w)] if db else out[:, part]
-            h[1:] = t.T
-            h[0] = x_out[:, 0]
-            result = out[:, part]
-            if db:
-                with np.errstate(all="ignore"):
-                    np.abs(h, out=result)
-                    np.log10(result, out=result)
-                    np.multiply(20.0, result, out=result)
-            # |h| is inf or nan where h is not finite, and log10 is -inf at 0 only
-            if not np.isfinite(result).all():
-                finite = np.isfinite(h).all(axis=1)
-                if not finite.all():
-                    bad_row = min(bad_row, int(np.argmin(finite)))
-                zeros = result == -np.inf
-                if db and zeros.any():
-                    row = int(np.argmax(zeros.any(axis=1)))
-                    if zero is None or row < zero[0]:
-                        zero = (row, start + int(np.argmax(zeros[row])))
-        if bad_row < rows:
-            _raise_failure(self._row_matrices(bad_row, omegas, block), self.labels[bad_row])
-        if zero is not None:
-            raise SimulationError(
-                f"{self.labels[zero[0]]} failed: zero output magnitude at "
-                f"omega={omegas[zero[1]]:g} rad/s"
-            )
+        block = self._block()
+        out = np.empty((len(self.labels), len(omegas)), dtype=float if db else complex)
+        failure = None
+        with np.errstate(all="ignore"):
+            for start in range(0, len(omegas), block):
+                w = omegas[start : start + block]
+                a = self._matrices(w)
+                # one (size, 1 + passives) right-hand side per frequency, stacked
+                # explicitly: numpy 1.x reads a 2-D b against a 3-D a as vectors
+                rhs = np.broadcast_to(self.rhs, (len(w), *self.rhs.shape))
+                try:
+                    x = np.linalg.solve(a, rhs)
+                except np.linalg.LinAlgError:
+                    _raise_failure(w, a, self.labels[0])
+                del a  # the block's peak is its row arithmetic, without A
+                # u.x0 and u.z of every passive, exact: u has at most two entries +-1
+                ux0 = (x[:, :, 0] @ self.rhs)[:, column]
+                uz = np.einsum("nk,fnk->fk", self.rhs, x)[:, column]
+                x_out = x[:, self.out_index]
+                d = dg + w[:, None] * jdc
+                faults = x_out[:, :1] - d * ux0 * x_out[:, column] / (1.0 + d * uz)
+                h = np.concatenate((x_out[:, :1], faults), axis=1).T
+                values = out[:, start : start + block] = 20.0 * np.log10(np.abs(h)) if db else h
+                # |h| is inf or nan where h is not finite, and log10 is -inf at 0 only
+                if not np.isfinite(values).all():
+                    zero = (values == -np.inf) & db
+                    for kind, found in enumerate((~np.isfinite(values) & ~zero, zero)):
+                        if found.any():
+                            row, col = divmod(int(np.argmax(found)), len(w))
+                            record = (kind, row, start + col)
+                            failure = min(failure or record, record)
+                            break
+        if failure is not None:
+            kind, row, position = failure
+            w = omegas[position : position + 1]
+            if kind:
+                raise SimulationError(
+                    f"{self.labels[row]} failed: zero output magnitude at omega={w[0]:g} rad/s"
+                )
+            _raise_failure(w, self._row_matrices(row, w), self.labels[row])
         return out
 
-    def _row_matrices(self, row, omegas, block):
-        """``(w, matrices)`` of one row's explicit MNA matrices, block by block."""
+    def _row_matrices(self, row, w) -> np.ndarray:
+        """One row's explicit MNA matrices at each of ``w``."""
         column, dg, jdc = self._updates
-        for start in range(0, len(omegas), block):
-            w = omegas[start : start + block]
+        with np.errstate(all="ignore"):
             a = self._matrices(w)
             if row:
                 u = self.rhs[:, column[row - 1]]
-                with np.errstate(all="ignore"):
-                    delta = dg[row - 1] + w * jdc[row - 1]
-                    a = a + delta[:, None, None] * np.outer(u, u)
-            yield w, a
+                delta = dg[row - 1] + w * jdc[row - 1]
+                a = a + delta[:, None, None] * np.outer(u, u)
+        return a
 
 
-def _raise_failure(blocks, label):
-    """Name the first frequency at which one row's MNA matrix cannot be solved.
+def _raise_failure(omegas, matrices, label):
+    """Name the first of ``omegas`` at which one row's MNA matrix cannot be
+    solved, and why.
 
-    ``blocks`` yields ``(omegas, matrices)`` in frequency order. Non-finite
-    entries are caught before ``np.linalg.cond``: LAPACK would reject them
-    with messages of its own on stdout.
+    ``matrices`` holds that row's matrix at each of ``omegas``: the one
+    frequency its solve failed at, or a whole block whose stacked solve
+    raised. Non-finite entries are caught before ``np.linalg.cond``: LAPACK
+    would reject them with messages of its own on stdout. Where no matrix
+    shows a cause, the message names the first frequency handed.
     """
-    for omegas, matrices in blocks:
-        for omega, matrix in zip(omegas, matrices):
-            if not np.all(np.isfinite(matrix)):
-                raise SimulationError(
-                    f"{label} failed: an MNA matrix entry is out of floating-point "
-                    f"range at omega={omega:g} rad/s; check element values"
-                )
-            cond = np.linalg.cond(matrix)
-            if not np.isfinite(cond) or cond > 1e15:
-                raise SimulationError(
-                    f"{label} failed: singular MNA system at omega={omega:g} rad/s "
-                    f"(condition number {cond:.3e}); check circuit connectivity"
-                )
-    raise SimulationError(f"{label} failed: MNA solve failed")
+    for omega, matrix in zip(omegas, matrices):
+        if not np.all(np.isfinite(matrix)):
+            raise SimulationError(
+                f"{label} failed: an MNA matrix entry is out of floating-point "
+                f"range at omega={omega:g} rad/s; check element values"
+            )
+        cond = np.linalg.cond(matrix)
+        if not np.isfinite(cond) or cond > 1e15:
+            raise SimulationError(
+                f"{label} failed: singular MNA system at omega={omega:g} rad/s "
+                f"(condition number {cond:.3e}); check circuit connectivity"
+            )
+    raise SimulationError(f"{label} failed: MNA solve failed at omega={omegas[0]:g} rad/s")
 
 
 @lru_cache(maxsize=16)

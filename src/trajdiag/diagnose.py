@@ -21,11 +21,12 @@ per-segment projection is part of the API.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import _dot
+from .trajectory import _check_tolerances, _dot
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,16 @@ def classify(
 ) -> DiagnosisResult:
     """Rank components by distance from the query to their trajectories.
 
-    Raises ``ValueError`` for no trajectories, mixed dimensions, or a query
-    of the wrong dimension or with a non-finite coordinate.
+    Raises ``ValueError`` for no trajectories, mixed dimensions, a query
+    of the wrong dimension or with a non-finite coordinate, an
+    ``origin_tol`` that is not positive and finite, or an
+    ``ambiguity_margin`` that is not finite and non-negative.
     """
+    _check_tolerances(origin_tol=origin_tol)
+    if not 0.0 <= ambiguity_margin < math.inf:
+        raise ValueError(
+            f"ambiguity_margin must be finite and non-negative, got {ambiguity_margin}"
+        )
     trajectories = list(trajectories)
     if not trajectories:
         raise ValueError("no trajectories to classify against")

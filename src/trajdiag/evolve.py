@@ -67,7 +67,11 @@ class GaConfig:
             raise ConfigError(
                 f"need 0 < f_min < f_max < inf, got {self.f_min}..{self.f_max}"
             )
-        if not 0 <= int(self.seed) < 2**64:
+        # numpy's SeedSequence takes any non-negative integer; a float fails
+        # there mid-run and a bool would run as 0 or 1
+        seed = self.seed
+        integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+        if not (integer and 0 <= seed < 2**64):
             raise ConfigError("seed must be an unsigned 64-bit integer")
 
     @property

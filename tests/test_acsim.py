@@ -164,6 +164,15 @@ def test_singular_system_reports_condition():
         solve_ac(floating, 1.0)
 
 
+def test_failure_without_a_cause_names_its_frequency():
+    # a row that failed where its matrix is finite and well conditioned
+    from trajdiag.acsim import _raise_failure
+
+    with pytest.raises(SimulationError) as failure:
+        _raise_failure(np.array([2.5]), np.eye(2, dtype=complex)[None], "golden circuit")
+    assert str(failure.value) == "golden circuit failed: MNA solve failed at omega=2.5 rad/s"
+
+
 def test_ground_output_is_error():
     with pytest.raises(NetlistError, match="ground"):
         parse_netlist("V1 1 0 1\nR1 1 0 1\n.input V1\n.output 0")

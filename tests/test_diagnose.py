@@ -236,6 +236,29 @@ def test_classify_validation(biquad_setup):
         classify((1.0, 2.0), [])
 
 
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        # a NaN ball gave an empty ranking, neither nominal nor ambiguous
+        (dict(origin_tol=np.nan), "origin_tol must be positive and finite"),
+        # an infinite ball called every query nominal
+        (dict(origin_tol=np.inf), "origin_tol must be positive and finite"),
+        (dict(origin_tol=0.0), "origin_tol must be positive and finite"),
+        (dict(origin_tol=-1e-6), "origin_tol must be positive and finite"),
+        # a NaN margin never flagged ambiguity
+        (dict(ambiguity_margin=np.nan), "ambiguity_margin must be finite and non-negative"),
+        (dict(ambiguity_margin=np.inf), "ambiguity_margin must be finite and non-negative"),
+        (dict(ambiguity_margin=-0.01), "ambiguity_margin must be finite and non-negative"),
+    ],
+)
+def test_classify_rejects_bad_tolerances(biquad, biquad_setup, kwargs, match):
+    tv, trajectories, golden = biquad_setup
+    query = signature(golden, evaluate_at(biquad, FaultSpec("R2", -0.25), tv.frequencies))
+    with pytest.raises(ValueError, match=match):
+        classify(query, trajectories, **kwargs)
+    assert classify(query, trajectories, ambiguity_margin=0.0).hypotheses
+
+
 @pytest.mark.parametrize("query", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.0)])
 def test_classify_rejects_non_finite_query(biquad_setup, query):
     # every distance from such a query is NaN, which no ranking can order

@@ -181,6 +181,11 @@ def test_step_generation_size_check():
         dict(f_min=0.0),
         dict(f_min=2.0, f_max=1.0),
         dict(seed=-1),
+        dict(seed=2**64),
+        dict(seed=1.5),
+        dict(seed=1.0),
+        dict(seed="1"),
+        dict(seed=True),
     ],
 )
 def test_ga_config_validation(kwargs):

@@ -330,13 +330,20 @@ SINGULAR_R2 = "V1 in 0 1\nR1 in a 1\nR2 a b 2\nE1 b 0 a 0 2\nR3 b 0 1\n.input V1
          [1e-300, 2e-300, 3e-300, 4e-300, 5e-300, 6e-300, 7e-300, 1e9, 8e-300],
          "fault (C1, -0.5) failed: an MNA matrix entry is out of floating-point range "
          "at omega=1e+09 rad/s; check element values"),
+        # the row solves at 1.8e-223 rad/s, where its matrix is ill-conditioned,
+        # and fails only at 1e9 rad/s: the frequency that failed is named
+        ("V1 in 0 1\nR1 in out 1\nC1 out 0 1e300\n.input V1\n.output out\n",
+         (("R1", "C1"),),
+         log_grid(1e-300, 1e9, 5),
+         "fault (C1, -0.4) failed: an MNA matrix entry is out of floating-point range "
+         "at omega=1e+09 rad/s; check element values"),
         # halving R2 is singular at every frequency: the first is named
         (SINGULAR_R2, (("R1", "R2", "R3"), 0.5, 1.4, 0.1),
          [0.01, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
          "fault (R2, -0.5) failed: singular MNA system at omega=0.01 rad/s "
          "(condition number 1.635e+17); check circuit connectivity"),
     ],
-    ids=["golden-zero", "fault-zero", "overflow", "singular-R2"],
+    ids=["golden-zero", "fault-zero", "overflow", "overflow-not-ill-conditioned", "singular-R2"],
 )
 def test_failures_are_named_across_blocks(monkeypatch, text, config, omegas, message):
     # one block, then three frequencies a block: the same message
