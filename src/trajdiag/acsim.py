@@ -215,8 +215,8 @@ class MnaSystem:
         """dB magnitudes 20*log10(|gain|), shape (rows, frequencies).
 
         The same solve as :meth:`transfer`, each block's rows turned into dB
-        as it is solved. A zero magnitude raises only where no value is
-        non-finite, naming the row-major first.
+        as it is solved. Where no value is non-finite, a zero magnitude
+        raises, naming the row-major first.
         """
         return self._solve(omegas, db=True)
 

@@ -21,7 +21,6 @@ per-segment projection is part of the API.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +58,7 @@ def classify(
     ``ambiguity_margin`` that is not finite and non-negative.
     """
     _check_tolerances(origin_tol=origin_tol)
-    if not 0.0 <= ambiguity_margin < math.inf:
+    if not 0.0 <= ambiguity_margin < np.inf:
         raise ValueError(
             f"ambiguity_margin must be finite and non-negative, got {ambiguity_margin}"
         )
