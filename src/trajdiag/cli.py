@@ -324,6 +324,8 @@ def _load_best_vector(config: RunConfig) -> TestVector:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     unit = payload.get("unit", config.unit) if isinstance(payload, dict) else config.unit
+    if isinstance(unit, str):
+        unit = unit.lower()  # as RunConfig reads --unit
     if not isinstance(unit, str) or unit not in _UNITS:
         raise ConfigError(f"{path}: unknown unit {unit!r}")
     try:

@@ -7,21 +7,26 @@ hypothesis; a trajectory with no perpendicular-admitting segment falls
 back to its nearest segment endpoint, flagged ``via_perpendicular =
 False``. Feet landing on the shared origin point are never candidates,
 and a query within the origin ball is reported as nominal. A segment of
-zero length (a repeated point, as when a component has no effect at the
-test frequencies) is skipped; its point is also the end of a segment
-that has length, so no candidate is lost. The deviation estimate
-interpolates the matched segment's endpoint deviations; it is an
-extension beyond component identification and is labelled as such in
-reports.
+zero length (a repeated point) is skipped; the repeated point is still
+reached as the end of a neighbouring segment that has length, if the
+trajectory has one. A trajectory with no segment of nonzero length (a
+component with no effect at the test frequencies, all of whose points
+are the origin), or whose every candidate foot lies in the origin ball,
+contributes no hypothesis. The deviation estimate interpolates the
+matched segment's endpoint deviations; it is an extension beyond
+component identification and is labelled as such in reports.
 
 :func:`classify` projects the query onto every segment of every
-trajectory in one numpy pass over arrays it builds per call; no
-per-segment projection is part of the API.
+trajectory in one numpy pass. The segment arrays it reads are built
+once per trajectory set and kept for the last few sets, so a loop of
+queries against one set does not rebuild them; no per-segment
+projection is part of the API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +49,68 @@ class DiagnosisResult:
     nominal: bool = False
 
 
+# trajectory sets whose segment layout is kept; a loop of queries uses one
+_LAYOUTS = 4
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Every segment of nonzero length of a trajectory set, in one array each.
+
+    Segment k runs from ``start[k]`` by ``step[k]``; it is segment
+    ``index[k]`` of trajectory ``owner[k]``, whose deviation goes from
+    ``low[k]`` to ``low[k] + span[k]`` along it. Segments are ordered by
+    trajectory and then by index.
+    """
+
+    components: tuple[str, ...]
+    dimension: int
+    start: np.ndarray
+    step: np.ndarray
+    length_sq: np.ndarray
+    owner: np.ndarray
+    index: np.ndarray
+    low: np.ndarray
+    span: np.ndarray
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _layout(trajectories: tuple) -> _Layout:
+    """The segment layout of a trajectory set; a ``Trajectory`` is immutable
+    and equal only to itself, so the tuple is a safe key."""
+    if not trajectories:
+        raise ValueError("no trajectories to classify against")
+    dims = {t.dimension for t in trajectories}
+    if len(dims) != 1:
+        raise ValueError("trajectories have mixed dimensions")
+    # every segment of every trajectory, in one array: segment k of the
+    # concatenation runs from point k to point k + 1, except across the
+    # end of a trajectory; zero-length segments are repeated points
+    sizes = np.array([len(t.deviations) for t in trajectories])
+    ends = np.cumsum(sizes) - 1
+    points = np.concatenate([t.points for t in trajectories])
+    steps = np.diff(points, axis=0)
+    length_sq = _dot(steps, steps)
+    segment = length_sq != 0.0
+    segment[ends[:-1]] = False
+    start = np.flatnonzero(segment)
+    owner = np.searchsorted(ends, start)
+    deviations = np.concatenate([t.deviations for t in trajectories])
+    low = deviations[start]
+    arrays = (
+        points[start],
+        steps[start],
+        length_sq[start],
+        owner,
+        start - (ends - sizes + 1)[owner],
+        low,
+        deviations[start + 1] - low,
+    )
+    for array in arrays:  # every later call reads the same arrays
+        array.flags.writeable = False
+    return _Layout(tuple(t.component for t in trajectories), dims.pop(), *arrays)
+
+
 def classify(
     point,
     trajectories,
@@ -62,13 +129,8 @@ def classify(
         raise ValueError(
             f"ambiguity_margin must be finite and non-negative, got {ambiguity_margin}"
         )
-    trajectories = list(trajectories)
-    if not trajectories:
-        raise ValueError("no trajectories to classify against")
-    dims = {t.dimension for t in trajectories}
-    if len(dims) != 1:
-        raise ValueError("trajectories have mixed dimensions")
-    n = dims.pop()
+    layout = _layout(tuple(trajectories))
+    n = layout.dimension
     query = np.asarray(point, dtype=float)
     if query.shape != (n,):
         raise ValueError(
@@ -79,23 +141,10 @@ def classify(
     if float(np.sqrt(query @ query)) <= origin_tol:
         return DiagnosisResult((), ambiguous=False, nominal=True)
 
-    # every segment of every trajectory, in one array: segment k of the
-    # concatenation runs from point k to point k + 1, except across the
-    # end of a trajectory; zero-length segments are repeated points
-    sizes = np.array([len(t.deviations) for t in trajectories])
-    ends = np.cumsum(sizes) - 1
-    points = np.concatenate([t.points for t in trajectories])
-    steps = np.diff(points, axis=0)
-    length_sq = _dot(steps, steps)
-    segment = length_sq != 0.0
-    segment[ends[:-1]] = False
-    start = np.flatnonzero(segment)
-    owner = np.searchsorted(ends, start)
-    a, d, length_sq = points[start], steps[start], length_sq[start]
-
+    a, d, owner = layout.start, layout.step, layout.owner
     # a scalar projection's order of operations, ((q - a).d) / (d.d): t_raw is
     # exactly 0 or 1 when the query is one of the segment's ends
-    t_raw = _dot(query - a, d) / length_sq
+    t_raw = _dot(query - a, d) / layout.length_sq
     t = np.clip(t_raw, 0.0, 1.0)
     foot = a + t[:, None] * d
     gap = query - foot
@@ -106,21 +155,18 @@ def classify(
 
     # per trajectory: perpendicular candidates first, then by distance and
     # segment; the first of each trajectory is its hypothesis
-    order = kept[np.lexsort((start[kept], distance[kept], ~perpendicular[kept], owner[kept]))]
+    order = kept[np.lexsort((kept, distance[kept], ~perpendicular[kept], owner[kept]))]
     first = np.ones(len(order), dtype=bool)
     first[1:] = owner[order[1:]] != owner[order[:-1]]
     best = order[first]
-    deviations = np.concatenate([t.deviations for t in trajectories])
-    low, high = deviations[start[best]], deviations[start[best] + 1]
-    estimate = low + t[best] * (high - low)
-    index = start[best] - (ends - sizes + 1)[owner[best]]
+    estimate = layout.low[best] + t[best] * layout.span[best]
     hypotheses = [
-        Hypothesis(trajectories[k].component, dist, est, i, flag)
+        Hypothesis(layout.components[k], dist, est, i, flag)
         for k, dist, est, i, flag in zip(
             owner[best].tolist(),
             distance[best].tolist(),
             estimate.tolist(),
-            index.tolist(),
+            layout.index[best].tolist(),
             perpendicular[best].tolist(),
         )
     ]

@@ -656,6 +656,16 @@ def test_diagnose_best_vector_unknown_unit(tmp_path, capsys):
     assert "unknown unit 'mhz'" in err and len(err.splitlines()) == 1
 
 
+def test_diagnose_best_vector_unit_in_any_case(tmp_path):
+    # --unit Hz is accepted, so a best_vector.json saying "Hz" is read too
+    lower, upper = tmp_path / "lower", tmp_path / "upper"
+    plant_best_vector(lower, ORACLE_VECTOR, unit="hz")
+    plant_best_vector(upper, ORACLE_VECTOR, unit="Hz")
+    assert run(["diagnose", "--outdir", lower, "--inject", "R3:0.2"]) == 0
+    assert run(["diagnose", "--outdir", upper, "--inject", "R3:0.2"]) == 0
+    assert (upper / "diagnosis.csv").read_bytes() == (lower / "diagnosis.csv").read_bytes()
+
+
 def test_diagnose_best_vector_corrupt_json(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajdiag import diagnose
 from trajdiag.diagnose import classify
-from trajdiag.faultlib import FaultSpec, evaluate_at
+from trajdiag.faultlib import FaultConfig, FaultSpec, evaluate_at
+from trajdiag.netlist import parse_netlist
 from trajdiag.trajectory import (
     TestVector,
     Trajectory,
@@ -226,6 +228,77 @@ def test_zero_length_segments_are_skipped():
     top = classify((1.0, 0.5), [a]).hypotheses[0]
     assert top.distance == pytest.approx(0.5)
     assert top.estimated_deviation == pytest.approx(0.1)
+
+
+def test_component_of_no_effect_gives_no_hypothesis():
+    # R9 is a self-loop, so every point of its trajectory is the origin and
+    # no segment of it has length: it is left out of the ranking, and the
+    # other trajectories rank as they do without it
+    circuit = parse_netlist(
+        "V1 in 0 1\nR1 in out 1\nR9 out out 5\nC1 out 0 1\n.input V1\n.output out\n"
+    )
+    tv = TestVector((0.5, 2.0))
+    trajectories = build_trajectories(circuit, FaultConfig(circuit.passive_ids()), tv)
+    assert [t.component for t in trajectories] == ["R1", "R9", "C1"]
+    assert not trajectories[1].points.any()
+    golden = evaluate_at(circuit, None, tv.frequencies)
+    query = signature(golden, evaluate_at(circuit, FaultSpec("R1", 0.2), tv.frequencies))
+    result = classify(query, trajectories)
+    assert sorted(h.component for h in result.hypotheses) == ["C1", "R1"]
+    assert result == classify(query, [trajectories[0], trajectories[2]])
+
+
+def test_layout_is_reused_across_interleaved_sets(biquad_setup):
+    _, trajectories, _ = biquad_setup
+    other = [
+        make_trajectory("A", [(1.0, 0.0), (1.0, 0.0), (2.0, 0.5)]),
+        make_trajectory("B", [(0.0, 1.0), (-1.0, 2.0)]),
+    ]
+    rng = np.random.default_rng(23)
+    queries = rng.normal(size=(10, 2)) * rng.uniform(0.05, 3.0, size=(10, 1))
+    diagnose._layout.cache_clear()
+    first = {}
+    for _ in range(3):
+        for query in queries:
+            for key, case in enumerate((trajectories, other, tuple(trajectories))):
+                result = classify(query, case)
+                expected = reference_classify(query, case)
+                assert [(h.component, h.segment_index, h.via_perpendicular)
+                        for h in result.hypotheses] == [
+                    (h.component, h.segment_index, h.via_perpendicular)
+                    for h in expected.hypotheses
+                ]
+                for got, want in zip(result.hypotheses, expected.hypotheses):
+                    assert abs(got.distance - want.distance) <= 1e-12
+                    assert abs(got.estimated_deviation - want.estimated_deviation) <= 1e-12
+                # a list and a tuple of the same trajectories are one set
+                assert first.setdefault((tuple(query), key % 2), result) == result
+    info = diagnose._layout.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+
+
+def test_mixed_dimensions_raise_on_every_call_and_are_never_cached():
+    mixed = [make_trajectory("A", [(1.0, 0.0)]), make_trajectory("B", [(1.0, 0.0, 0.0)])]
+    diagnose._layout.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            classify((1.0, 1.0), mixed)
+    assert diagnose._layout.cache_info().currsize == 0
+
+
+def test_permuted_set_gets_its_own_layout(biquad_setup):
+    _, trajectories, _ = biquad_setup
+    diagnose._layout.cache_clear()
+    query = (0.5, -0.25)
+    forward = classify(query, trajectories)
+    backward = classify(query, trajectories[::-1])
+    assert diagnose._layout.cache_info().currsize == 2
+    assert backward == forward
+    assert classify(query, trajectories) == forward
+
+
+def test_layout_cache_holds_a_few_sets():
+    assert diagnose._layout.cache_info().maxsize == diagnose._LAYOUTS <= 8
 
 
 def test_classify_validation(biquad_setup):

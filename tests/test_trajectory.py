@@ -337,6 +337,19 @@ def assert_batch_matches_reference(circuit, config, vectors, chunk=64):
         assert assert_matches_reference(trajectories) == batched, tv.frequencies
 
 
+def test_dot_at_three_terms_sums_in_einsum_order():
+    # the kernel-vs-reference tests at n = 3 hold only while _dot sums
+    # (x0 y0 + x2 y2) + x1 y1, the order einsum takes on these rows; a
+    # left-to-right sum differs in the last bit on about 30% of them
+    rng = np.random.default_rng(3303)
+    for _ in range(20):
+        x, y = rng.normal(size=(2, 1000, 3)) * 10.0 ** rng.uniform(-3, 3, (1000, 1))
+        rows = rng.integers(0, 1000, 1500)
+        for u, v in ((x, y), (x.take(rows, axis=0), y.take(rows, axis=0))):
+            expected = (u[:, 0] * v[:, 0] + u[:, 2] * v[:, 2]) + u[:, 1] * v[:, 1]
+            assert np.array_equal(trajectory._dot(u, v), expected)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kernel_matches_reference_on_random_vectors(biquad, biquad_faults, n):
     rng = np.random.default_rng(7100 + n)
