@@ -53,31 +53,16 @@ class DiagnosisResult:
 _LAYOUTS = 4
 
 
-@dataclass(frozen=True)
-class _Layout:
+@lru_cache(maxsize=_LAYOUTS)
+def _layout(trajectories: tuple) -> tuple:
     """Every segment of nonzero length of a trajectory set, in one array each.
 
-    Segment k runs from ``start[k]`` by ``step[k]``; it is segment
-    ``index[k]`` of trajectory ``owner[k]``, whose deviation goes from
-    ``low[k]`` to ``low[k] + span[k]`` along it. Segments are ordered by
-    trajectory and then by index.
+    Returns the component names, the dimension and, per segment, its
+    start point, step, squared length, trajectory (``owner``), index in
+    that trajectory, deviation at its start and deviation span along it,
+    ordered by trajectory and then by index. A ``Trajectory`` is
+    immutable and equal only to itself, so the tuple is a safe key.
     """
-
-    components: tuple[str, ...]
-    dimension: int
-    start: np.ndarray
-    step: np.ndarray
-    length_sq: np.ndarray
-    owner: np.ndarray
-    index: np.ndarray
-    low: np.ndarray
-    span: np.ndarray
-
-
-@lru_cache(maxsize=_LAYOUTS)
-def _layout(trajectories: tuple) -> _Layout:
-    """The segment layout of a trajectory set; a ``Trajectory`` is immutable
-    and equal only to itself, so the tuple is a safe key."""
     if not trajectories:
         raise ValueError("no trajectories to classify against")
     dims = {t.dimension for t in trajectories}
@@ -108,7 +93,7 @@ def _layout(trajectories: tuple) -> _Layout:
     )
     for array in arrays:  # every later call reads the same arrays
         array.flags.writeable = False
-    return _Layout(tuple(t.component for t in trajectories), dims.pop(), *arrays)
+    return (tuple(t.component for t in trajectories), dims.pop(), *arrays)
 
 
 def classify(
@@ -129,8 +114,7 @@ def classify(
         raise ValueError(
             f"ambiguity_margin must be finite and non-negative, got {ambiguity_margin}"
         )
-    layout = _layout(tuple(trajectories))
-    n = layout.dimension
+    components, n, a, d, length_sq, owner, index, low, span = _layout(tuple(trajectories))
     query = np.asarray(point, dtype=float)
     if query.shape != (n,):
         raise ValueError(
@@ -141,10 +125,9 @@ def classify(
     if float(np.sqrt(query @ query)) <= origin_tol:
         return DiagnosisResult((), ambiguous=False, nominal=True)
 
-    a, d, owner = layout.start, layout.step, layout.owner
     # a scalar projection's order of operations, ((q - a).d) / (d.d): t_raw is
     # exactly 0 or 1 when the query is one of the segment's ends
-    t_raw = _dot(query - a, d) / layout.length_sq
+    t_raw = _dot(query - a, d) / length_sq
     t = np.clip(t_raw, 0.0, 1.0)
     foot = a + t[:, None] * d
     gap = query - foot
@@ -159,14 +142,14 @@ def classify(
     first = np.ones(len(order), dtype=bool)
     first[1:] = owner[order[1:]] != owner[order[:-1]]
     best = order[first]
-    estimate = layout.low[best] + t[best] * layout.span[best]
+    estimate = low[best] + t[best] * span[best]
     hypotheses = [
-        Hypothesis(layout.components[k], dist, est, i, flag)
+        Hypothesis(components[k], dist, est, i, flag)
         for k, dist, est, i, flag in zip(
             owner[best].tolist(),
             distance[best].tolist(),
             estimate.tolist(),
-            layout.index[best].tolist(),
+            index[best].tolist(),
             perpendicular[best].tolist(),
         )
     ]
