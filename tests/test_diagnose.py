@@ -275,6 +275,7 @@ def test_layout_is_reused_across_interleaved_sets(biquad_setup):
                 assert first.setdefault((tuple(query), key % 2), result) == result
     info = diagnose._layout.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
+    assert info.maxsize == diagnose._LAYOUTS <= 8  # a few sets, by a constant
 
 
 def test_mixed_dimensions_raise_on_every_call_and_are_never_cached():
@@ -295,10 +296,6 @@ def test_permuted_set_gets_its_own_layout(biquad_setup):
     assert diagnose._layout.cache_info().currsize == 2
     assert backward == forward
     assert classify(query, trajectories) == forward
-
-
-def test_layout_cache_holds_a_few_sets():
-    assert diagnose._layout.cache_info().maxsize == diagnose._LAYOUTS <= 8
 
 
 def test_classify_validation(biquad_setup):
