@@ -18,7 +18,11 @@ solved in blocks of at most ``_BLOCK_ENTRIES`` complex entries, and each
 block's rows go straight into the one (rows, frequencies) result, as
 complex gains or as dB magnitudes; the working set is that result plus
 one block. Each frequency is its own LU, so results do not depend on
-blocking.
+blocking. A block is two steps: the golden step (the LU and its
+products, which no fault enters) and the row step (the Sherman-Morrison
+rows, the dB values and the failure record). ``faultlib.evaluate_at``
+keeps the golden step of a repeated one-block frequency set and runs
+only the row step.
 """
 
 from __future__ import annotations
@@ -209,7 +213,7 @@ class MnaSystem:
         :func:`_raise_failure` names it and the cause its explicit matrix
         shows there.
         """
-        return self._solve(omegas, db=False)
+        return self._solve(_frequencies(omegas), db=False)
 
     def magnitudes(self, omegas) -> np.ndarray:
         """dB magnitudes 20*log10(|gain|), shape (rows, frequencies).
@@ -218,7 +222,7 @@ class MnaSystem:
         as it is solved. Where no value is non-finite, a zero magnitude
         raises, naming the row-major first.
         """
-        return self._solve(omegas, db=True)
+        return self._solve(_frequencies(omegas), db=True)
 
     def _block(self) -> int:
         """Frequencies per solve block: ``_BLOCK_ENTRIES`` complex entries of
@@ -237,49 +241,26 @@ class MnaSystem:
         a.imag += 0.0
         return a
 
-    def _solve(self, omegas, db: bool) -> np.ndarray:
-        """Every row at every frequency, block by block, into one result: the
-        complex gains, or with ``db`` their dB magnitudes. A failure is the
-        least ``(kind, row, position)`` over the blocks, a value that is not
-        finite (kind 0) before a zero magnitude (kind 1)."""
-        omegas = np.asarray(omegas, dtype=float)
-        if omegas.ndim != 1 or len(omegas) == 0:
-            raise ValueError("frequencies must be a non-empty 1-D sequence")
-        if not ((omegas > 0.0) & (omegas < np.inf)).all():
-            raise ValueError("frequencies must be positive and finite")
-        column, dg, jdc = self._updates
+    def _solve(self, omegas, db: bool, golden=None) -> np.ndarray:
+        """Every row at each of the checked ``omegas``, block by block, into
+        one result: the complex gains, or with ``db`` their dB magnitudes.
+        Each block is one :meth:`_golden_step` and one :meth:`_row_step`;
+        ``golden``, when given, is the golden step of all of ``omegas``,
+        which then fit in one block. A failure is the least ``(kind, row,
+        position)`` over the blocks, a value that is not finite (kind 0)
+        before a zero magnitude (kind 1)."""
         block = self._block()
         out = np.empty((len(self.labels), len(omegas)), dtype=float if db else complex)
         failure = None
         with np.errstate(all="ignore"):
             for start in range(0, len(omegas), block):
                 w = omegas[start : start + block]
-                a = self._matrices(w)
-                # one (size, 1 + passives) right-hand side per frequency, stacked
-                # explicitly: numpy 1.x reads a 2-D b against a 3-D a as vectors
-                rhs = np.broadcast_to(self.rhs, (len(w), *self.rhs.shape))
-                try:
-                    x = np.linalg.solve(a, rhs)
-                except np.linalg.LinAlgError:
-                    _raise_failure(w, a, self.labels[0])
-                del a  # the block's peak is its row arithmetic, without A
-                # u.x0 and u.z of every passive, exact: u has at most two entries +-1
-                ux0 = (x[:, :, 0] @ self.rhs)[:, column]
-                uz = np.einsum("nk,fnk->fk", self.rhs, x)[:, column]
-                x_out = x[:, self.out_index]
-                d = dg + w[:, None] * jdc
-                faults = x_out[:, :1] - d * ux0 * x_out[:, column] / (1.0 + d * uz)
-                h = np.concatenate((x_out[:, :1], faults), axis=1).T
-                values = out[:, start : start + block] = 20.0 * np.log10(np.abs(h)) if db else h
-                # |h| is inf or nan where h is not finite, and log10 is -inf at 0 only
-                if not np.isfinite(values).all():
-                    zero = (values == -np.inf) & db
-                    for kind, found in enumerate((~np.isfinite(values) & ~zero, zero)):
-                        if found.any():
-                            row, col = divmod(int(np.argmax(found)), len(w))
-                            record = (kind, row, start + col)
-                            failure = min(failure or record, record)
-                            break
+                step = self._golden_step(w) if golden is None else golden
+                record = self._row_step(w, step, out[:, start : start + block], db)
+                if record is not None:
+                    kind, row, col = record
+                    record = (kind, row, start + col)
+                    failure = min(failure or record, record)
         if failure is not None:
             kind, row, position = failure
             w = omegas[position : position + 1]
@@ -289,6 +270,44 @@ class MnaSystem:
                 )
             _raise_failure(w, self._row_matrices(row, w), self.labels[row])
         return out
+
+    def _golden_step(self, w) -> tuple:
+        """One LU of ``A_0`` at each of ``w`` with right-hand sides ``[b |
+        U]``, reduced to ``(x_out, ux0, uz)``: the output row of ``[x0 |
+        Z]``, and ``u.x0`` and ``u.z`` of every stamp column, each of shape
+        (frequencies, 1 + passives). No fault enters it. A solve that
+        raises names the golden circuit. Callers silence floating-point
+        warnings."""
+        a = self._matrices(w)
+        # one (size, 1 + passives) right-hand side per frequency, stacked
+        # explicitly: numpy 1.x reads a 2-D b against a 3-D a as vectors
+        rhs = np.broadcast_to(self.rhs, (len(w), *self.rhs.shape))
+        try:
+            x = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError:
+            _raise_failure(w, a, self.labels[0])
+        del a  # the block's peak is its row arithmetic, without A
+        # u.x0 and u.z, exact: u has at most two entries +-1
+        return x[:, self.out_index], x[:, :, 0] @ self.rhs, np.einsum("nk,fnk->fk", self.rhs, x)
+
+    def _row_step(self, w, golden, out, db: bool):
+        """Every row at ``w`` from the :meth:`_golden_step` arrays
+        ``golden``, the faults by the Sherman-Morrison formula, written to
+        ``out`` (rows, len(w)) as gains or with ``db`` as dB magnitudes.
+        Returns the block's failure ``(kind, row, column)``, or None."""
+        column, dg, jdc = self._updates
+        x_out, ux0, uz = golden
+        d = dg + w[:, None] * jdc
+        faults = x_out[:, :1] - d * ux0[:, column] * x_out[:, column] / (1.0 + d * uz[:, column])
+        h = np.concatenate((x_out[:, :1], faults), axis=1).T
+        values = out[...] = 20.0 * np.log10(np.abs(h)) if db else h
+        # |h| is inf or nan where h is not finite, and log10 is -inf at 0 only
+        if np.isfinite(values).all():
+            return None
+        zero = (values == -np.inf) & db
+        for kind, found in enumerate((~np.isfinite(values) & ~zero, zero)):
+            if found.any():
+                return (kind, *divmod(int(np.argmax(found)), len(w)))
 
     def _row_matrices(self, row, w) -> np.ndarray:
         """One row's explicit MNA matrices at each of ``w``."""
@@ -300,6 +319,17 @@ class MnaSystem:
                 delta = dg[row - 1] + w * jdc[row - 1]
                 a = a + delta[:, None, None] * np.outer(u, u)
         return a
+
+
+def _frequencies(omegas) -> np.ndarray:
+    """``omegas`` as a float array, checked: 1-D, non-empty, each positive
+    and finite."""
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1 or len(omegas) == 0:
+        raise ValueError("frequencies must be a non-empty 1-D sequence")
+    if not ((omegas > 0.0) & (omegas < np.inf)).all():
+        raise ValueError("frequencies must be positive and finite")
+    return omegas
 
 
 def _raise_failure(omegas, matrices, label):

@@ -131,19 +131,17 @@ class RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"config field 'range_low'/'range_high'/'step': {exc}") from None
         _check_work(rows * self.grid, _ROWS_X_GRID)
-        try:
-            self.ga = GaConfig(
-                population_size=self.population_size,
-                generations=self.generations,
-                reproduction_rate=self.reproduction_rate,
-                mutation_rate=self.mutation_rate,
-                n_frequencies=self.n_frequencies,
-                f_min=self.f_min * self.omega_scale,
-                f_max=self.f_max * self.omega_scale,
-                seed=self.seed,
-            )
-        except ConfigError as exc:
-            raise ConfigError(f"config field (GA): {exc}") from None
+        # GaConfig's errors name their own fields
+        self.ga = GaConfig(
+            population_size=self.population_size,
+            generations=self.generations,
+            reproduction_rate=self.reproduction_rate,
+            mutation_rate=self.mutation_rate,
+            n_frequencies=self.n_frequencies,
+            f_min=self.f_min * self.omega_scale,
+            f_max=self.f_max * self.omega_scale,
+            seed=self.seed,
+        )
         _check_work(
             self.population_size * self.n_frequencies,
             "config field 'population_size': population x 'n_frequencies'",

@@ -41,6 +41,18 @@ logger = logging.getLogger(__name__)
 _STORE_VALUES = 1 << 18
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if not (_is_integer(value) and value >= least):
+        raise ConfigError(
+            f"config field {name!r}: must be an integer of at least {least}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population_size: int = 128
@@ -53,26 +65,25 @@ class GaConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ConfigError("population_size must be at least 2")
-        if self.generations < 0:
-            raise ConfigError("generations must be non-negative")
+        # each message names its field, as the CLI reports it; a float
+        # count fails mid-run and a bool would run as 0 or 1
+        for name, least in (("population_size", 2), ("generations", 0)):
+            _check_count(name, getattr(self, name), least)
         for rate_name in ("reproduction_rate", "mutation_rate"):
             rate = getattr(self, rate_name)
             if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{rate_name} must lie in [0, 1], got {rate}")
-        if self.n_frequencies < 1:
-            raise ConfigError("n_frequencies must be at least 1")
+                raise ConfigError(f"config field {rate_name!r}: must lie in [0, 1], got {rate}")
+        _check_count("n_frequencies", self.n_frequencies, 1)
         if not (0.0 < self.f_min < self.f_max < np.inf):
             raise ConfigError(
-                f"need 0 < f_min < f_max < inf, got {self.f_min}..{self.f_max}"
+                f"config field 'f_min'/'f_max': need 0 < f_min < f_max < inf, "
+                f"got {self.f_min}..{self.f_max}"
             )
-        # numpy's SeedSequence takes any non-negative integer; a float fails
-        # there mid-run and a bool would run as 0 or 1
-        seed = self.seed
-        integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-        if not (integer and 0 <= seed < 2**64):
-            raise ConfigError("seed must be an unsigned 64-bit integer")
+        # numpy's SeedSequence takes any non-negative integer
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
+            raise ConfigError(
+                f"config field 'seed': must be an unsigned 64-bit integer, got {self.seed!r}"
+            )
 
     @property
     def bounds(self) -> tuple[float, float]:

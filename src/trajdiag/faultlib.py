@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .acsim import ResponseCurve, _golden_system
+from .acsim import ResponseCurve, _frequencies, _golden_system
 from .errors import ConfigError
 from .netlist import Circuit
 
@@ -108,6 +108,11 @@ class FaultConfig:
     step: float = DEFAULT_STEP
 
     def __post_init__(self):
+        if isinstance(self.targets, str):
+            # tuple() would split it into one-letter targets
+            raise ConfigError(
+                f"targets must be a sequence of component ids, not the string {self.targets!r}"
+            )
         object.__setattr__(self, "targets", tuple(self.targets))
         check_targets(self.targets)
         below, above = check_grid(self.range_low, self.range_high, self.step)
@@ -201,6 +206,24 @@ def ensemble_for(circuit: Circuit, config: FaultConfig) -> FaultEnsemble:
     return FaultEnsemble(circuit, config)
 
 
+# frequency sets whose golden solve evaluate_at keeps; a test station
+# applies one vector to every unit
+_GOLDEN_SETS = 4
+
+
+@lru_cache(maxsize=_GOLDEN_SETS)
+def _kept_golden_step(system, omegas: tuple) -> tuple:
+    """The golden step of a cached golden system at ``omegas``, read-only.
+
+    ``system`` hashes by identity, as each circuit's golden system is one
+    object; a golden solve that raises is not kept."""
+    with np.errstate(all="ignore"):
+        arrays = system._golden_step(np.array(omegas))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def evaluate_at(circuit: Circuit, fault, frequencies) -> tuple[float, ...]:
     """dB magnitudes of the (possibly deviated) circuit at given frequencies.
 
@@ -208,11 +231,21 @@ def evaluate_at(circuit: Circuit, fault, frequencies) -> tuple[float, ...]:
     are angular (rad/s), in any order, all positive. A fault row comes
     from the same right-hand sides and update code as its
     :class:`FaultEnsemble` row, so the two agree bit for bit.
+
+    The golden solve does not depend on the fault, so it is kept, read-only,
+    for the last ``_GOLDEN_SETS`` (4) frequency sets of at most one solve
+    block (153 frequencies on the bundled biquad): a repeated set, such as
+    a test vector applied to unit after unit, solves only the fault's
+    rank-one row, with the same bits. A golden solve that raises is not
+    kept, and a larger set runs the block loop.
     """
-    system = _golden_system(circuit)
-    if fault is None:
-        return tuple(system.magnitudes(frequencies)[0].tolist())
-    return tuple(system.with_faults([fault]).magnitudes(frequencies)[1].tolist())
+    golden = _golden_system(circuit)
+    system = golden if fault is None else golden.with_faults([fault])
+    omegas = _frequencies(frequencies)
+    kept = None
+    if len(omegas) <= system._block():
+        kept = _kept_golden_step(golden, tuple(omegas.tolist()))
+    return tuple(system._solve(omegas, db=True, golden=kept)[len(system.labels) - 1].tolist())
 
 
 def build_dictionary(circuit: Circuit, config: FaultConfig, grid) -> FaultDictionary:

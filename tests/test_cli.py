@@ -77,13 +77,14 @@ def test_config_file_round_trip(tmp_path):
         ({"grid": 0}, "grid"),
         ({"step": 0.07}, "step"),
         ({"range_low": 1.4}, "range"),
-        ({"population_size": 1}, "GA"),
-        ({"mutation_rate": 1.5}, "GA"),
+        ({"population_size": 1}, "^config field 'population_size': must be an integer"),
+        ({"mutation_rate": 1.5}, "^config field 'mutation_rate': must lie in"),
         ({"tol": 0.0}, "tol"),
         ({"ambiguity_margin": -1.0}, "ambiguity_margin"),
         ({"netlist": "/nonexistent/file.cir"}, "/nonexistent/file.cir"),
         ({"grid": 1.5}, "integer"),
-        ({"unit": "hz", "f_max": 1e308}, "GA"),  # finite, but not once scaled to rad/s
+        # finite, but not once scaled to rad/s
+        ({"unit": "hz", "f_max": 1e308}, "^config field 'f_min'.'f_max': need 0 < f_min"),
         ({"range_high": 1e300, "step": 1e-300}, "range_high is too many steps"),
         # string fields take JSON strings only; targets a list of them or one
         ({"outdir": None}, "'outdir': expected a string, got null"),
@@ -106,6 +107,25 @@ def test_malformed_configs_fail_fast(tmp_path, payload, fragment):
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match=fragment.replace("/", ".")):
         load_config(str(path), {})
+
+
+@pytest.mark.parametrize(
+    "args,line",
+    [
+        (["--f-min", 10, "--f-max", 1],
+         "config field 'f_min'/'f_max': need 0 < f_min < f_max < inf, got 10.0..1.0"),
+        (["--population-size", 1],
+         "config field 'population_size': must be an integer of at least 2, got 1"),
+        (["--mutation-rate", 1.5], "config field 'mutation_rate': must lie in [0, 1], got 1.5"),
+        (["--seed", -1], "config field 'seed': must be an unsigned 64-bit integer, got -1"),
+    ],
+)
+def test_bad_ga_setting_names_its_field(tmp_path, capsys, args, line):
+    # one line per message shape of GaConfig: the band, a count, a rate, the seed
+    out = tmp_path / "out"
+    assert run(["simulate", "--outdir", out, *args]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
 
 
 FIELD_TYPES = typing.get_type_hints(RunConfig)

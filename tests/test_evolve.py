@@ -186,6 +186,14 @@ def test_step_generation_size_check():
         dict(seed=1.0),
         dict(seed="1"),
         dict(seed=True),
+        # counts take integers only: a float failed mid-run, a bool ran as 0 or 1
+        dict(population_size=2.5),
+        dict(population_size=True),
+        dict(population_size="4"),
+        dict(generations=1.5),
+        dict(generations=True),
+        dict(n_frequencies=2.0),
+        dict(n_frequencies=True),
     ],
 )
 def test_ga_config_validation(kwargs):

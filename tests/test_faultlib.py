@@ -22,6 +22,7 @@ from trajdiag.faultlib import (
     evaluate_at,
     write_dictionary_csv,
 )
+from trajdiag.data import biquad_path
 from trajdiag.netlist import parse_netlist
 
 from conftest import ONE_POLE_RC, ORACLE_VECTOR
@@ -58,6 +59,8 @@ def test_smallest_grid():
         (dict(targets=("R1",), step=-0.1), "positive"),
         (dict(targets=("R1",), step=0.0), "positive"),
         (dict(targets=("R1",), step=float("inf")), "finite"),
+        # tuple("R1") would be the targets 'R', '1'
+        (dict(targets="R1"), "not the string 'R1'"),
     ],
 )
 def test_config_validation(kwargs, fragment):
@@ -370,6 +373,112 @@ def test_evaluate_at_matches_ensemble_row(biquad, biquad_faults):
         assert np.array_equal(evaluate_at(biquad, None, vector), mags[0])
         for row, spec in enumerate(enumerate_faults(biquad_faults), start=1):
             assert np.array_equal(evaluate_at(biquad, spec, vector), mags[row]), spec
+
+
+# a doubly terminated two-section RLC ladder: inductor branch rows and shunt
+# capacitors beside the biquad's op-amp (vcvs) rows
+RLC_LADDER = (
+    "V1 in 0 1\nRS in a 1\nL1 a b 0.8\nC1 b 0 1.2\nL2 b out 1.5\nC2 out 0 0.7\n"
+    "RL out 0 1.1\n.input V1\n.output out\n"
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    vectors=st.lists(st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3), min_size=1,
+                     max_size=3),
+    picks=st.lists(st.tuples(st.booleans(), st.integers(0, 2), st.integers(0, 500)),
+                   min_size=1, max_size=8),
+)
+def test_evaluate_at_reuses_the_golden_solve_bit_for_bit(n, vectors, picks):
+    # interleaved calls on the biquad and a ladder at up to three shared
+    # n-frequency vectors, each call made twice in a row: the golden row and
+    # every fault equal a fresh system's solve and the ensemble row, whether
+    # the golden solve was kept or not
+    from trajdiag.acsim import MnaSystem
+    from trajdiag.faultlib import _kept_golden_step, ensemble_for
+
+    circuits = [parse_netlist(biquad_path().read_text()), parse_netlist(RLC_LADDER)]
+    vectors = [tuple(vector[:n]) for vector in vectors]
+    _kept_golden_step.cache_clear()
+    for ladder, which, pick in (pick for pick in picks for _ in range(2)):
+        circuit, vector = circuits[ladder], vectors[which % len(vectors)]
+        config = FaultConfig(circuit.passive_ids())
+        row = pick % (1 + len(config.faults))
+        spec = config.faults[row - 1] if row else None
+        fresh = MnaSystem(circuit)
+        fresh = fresh.with_faults([spec]).magnitudes(vector)[1] if row else fresh.magnitudes(vector)[0]
+        got = np.asarray(evaluate_at(circuit, spec, vector)).tobytes()
+        assert got == fresh.tobytes(), (ladder, vector, spec)
+        assert got == ensemble_for(circuit, config).magnitudes(vector)[row].tobytes()
+    assert _kept_golden_step.cache_info().hits >= len(picks)
+
+
+def test_a_failed_golden_solve_is_not_kept():
+    # the golden LU raises: the same text on every call, and nothing kept
+    from trajdiag.faultlib import _kept_golden_step
+
+    floating = parse_netlist("V1 1 0 1\nR1 1 0 1\nR2 2 3 1\n.input V1\n.output 2")
+    message = (
+        "golden circuit failed: singular MNA system at omega=1 rad/s "
+        "(condition number inf); check circuit connectivity"
+    )
+    _kept_golden_step.cache_clear()
+    for fault in (None, FaultSpec("R1", 0.1), None, FaultSpec("R1", 0.1)):
+        with pytest.raises(td.SimulationError) as failure:
+            evaluate_at(floating, fault, [1.0, 2.0])
+        assert str(failure.value) == message
+        assert _kept_golden_step.cache_info().currsize == 0
+
+
+def test_a_failed_fault_row_keeps_only_the_golden_solve():
+    # halving R2 is singular, the golden circuit is not: the fault raises the
+    # same text on a repeated call, and the kept golden solve still serves
+    # the golden row bit for bit
+    from trajdiag.acsim import MnaSystem
+    from trajdiag.faultlib import _kept_golden_step
+
+    circuit = parse_netlist(SINGULAR_R2)
+    _kept_golden_step.cache_clear()
+    texts = set()
+    for _ in range(2):
+        with pytest.raises(td.SimulationError) as failure:
+            evaluate_at(circuit, FaultSpec("R2", -0.5), [1.0, 2.0])
+        texts.add(str(failure.value))
+    assert texts == {
+        "fault (R2, -0.5) failed: singular MNA system at omega=1 rad/s "
+        "(condition number 1.635e+17); check circuit connectivity"
+    }
+    assert _kept_golden_step.cache_info()[:2] == (1, 1)  # one hit, one miss
+    golden = evaluate_at(circuit, None, [1.0, 2.0])
+    assert np.asarray(golden).tobytes() == MnaSystem(circuit).magnitudes([1.0, 2.0])[0].tobytes()
+
+
+def test_kept_golden_solves_are_few_small_and_read_only(biquad):
+    from trajdiag.acsim import _golden_system
+    from trajdiag.faultlib import _GOLDEN_SETS, _kept_golden_step
+
+    assert _kept_golden_step.cache_info().maxsize == _GOLDEN_SETS <= 8
+    system = _golden_system(biquad)
+    _kept_golden_step.cache_clear()
+    evaluate_at(biquad, FaultSpec("R1", 0.2), ORACLE_VECTOR)
+    for array in _kept_golden_step(system, ORACLE_VECTOR):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    # a set larger than one solve block runs the block loop and keeps nothing
+    omegas = np.geomspace(0.05, 20.0, 3 * system.with_faults([FaultSpec("R1", 0.2)])._block())
+    _kept_golden_step.cache_clear()
+    tracemalloc.start()
+    try:
+        values = evaluate_at(biquad, FaultSpec("R1", 0.2), omegas)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _kept_golden_step.cache_info().currsize == 0
+    # the returned floats and tuple, and not a block's solutions (about 137 KiB)
+    assert kept <= 40 * len(values) + 16 * 1024, kept
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
