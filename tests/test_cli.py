@@ -119,6 +119,7 @@ def test_malformed_configs_fail_fast(tmp_path, payload, fragment):
         (["--mutation-rate", 1.5], "config field 'mutation_rate': must lie in [0, 1], got 1.5"),
         (["--seed", -1], "config field 'seed': must be an unsigned 64-bit integer, got -1"),
     ],
+    ids=["band", "count", "rate", "seed"],
 )
 def test_bad_ga_setting_names_its_field(tmp_path, capsys, args, line):
     # one line per message shape of GaConfig: the band, a count, a rate, the seed
