@@ -185,21 +185,31 @@ class MnaSystem:
         ``dc = C*d`` for a capacitor and ``dc = -L*d`` for an inductor (its
         branch row holds ``-j*w*L``).
         """
-        column, dg, dc = [], [], []
-        for fault in faults:
-            element = deviation_target(self._circuit, fault)
-            column.append(self._column[element.id])
-            value, d = element.value, fault.deviation
-            if element.kind is ElementKind.RESISTOR:
-                dg.append(1.0 / (value * (1.0 + d)) - 1.0 / value)
-                dc.append(0.0)
-            else:
-                dg.append(0.0)
-                dc.append(value * d if element.kind is ElementKind.CAPACITOR else -value * d)
+        updates = [self._fault_update(fault) for fault in faults]
+        column, dg, dc = zip(*updates) if updates else ((), (), ())
         system = copy.copy(self)
         system.labels = (self.labels[0], *(fault.label for fault in faults))
         system._updates = (np.asarray(column, dtype=int), np.asarray(dg), 1j * np.asarray(dc))
         return system
+
+    def _fault_update(self, fault) -> tuple[int, float, float]:
+        """One fault's stamp column, ``dg`` and ``dc`` (see :meth:`with_faults`)."""
+        element = deviation_target(self._circuit, fault)
+        column, value, d = self._column[element.id], element.value, fault.deviation
+        if element.kind is ElementKind.RESISTOR:
+            return column, 1.0 / (value * (1.0 + d)) - 1.0 / value, 0.0
+        return column, 0.0, value * d if element.kind is ElementKind.CAPACITOR else -value * d
+
+    def _fault_rows(self, fault) -> tuple:
+        """``(labels, updates)`` as :meth:`_solve` takes them: this golden
+        system's row and, unless ``fault`` is None, the fault's, with the
+        values of ``with_faults([fault])`` and no copied system. The fault's
+        stamp column is a slice, which selects without a copy, and its
+        ``dg`` and ``j*dc`` are scalars."""
+        if fault is None:
+            return self.labels, self._updates
+        column, dg, dc = self._fault_update(fault)
+        return (self.labels[0], fault.label), (slice(column, column + 1), dg, 1j * dc)
 
     def transfer(self, omegas) -> np.ndarray:
         """Complex V(output)/V(source), shape (rows, frequencies).
@@ -224,10 +234,12 @@ class MnaSystem:
         """
         return self._solve(_frequencies(omegas), db=True)
 
-    def _block(self) -> int:
+    def _block(self, n_rows: int | None = None) -> int:
         """Frequencies per solve block: ``_BLOCK_ENTRIES`` complex entries of
-        ``A``, the solutions ``[x0 | Z]`` and one value per row."""
-        per_frequency = self.size * (self.size + self.rhs.shape[1]) + len(self.labels)
+        ``A``, the solutions ``[x0 | Z]`` and one value for each of
+        ``n_rows`` rows, by default this system's."""
+        n_rows = len(self.labels) if n_rows is None else n_rows
+        per_frequency = self.size * (self.size + self.rhs.shape[1]) + n_rows
         return max(1, _BLOCK_ENTRIES // per_frequency)
 
     def _matrices(self, w) -> np.ndarray:
@@ -241,22 +253,25 @@ class MnaSystem:
         a.imag += 0.0
         return a
 
-    def _solve(self, omegas, db: bool, golden=None) -> np.ndarray:
+    def _solve(self, omegas, db: bool, golden=None, rows=None) -> np.ndarray:
         """Every row at each of the checked ``omegas``, block by block, into
         one result: the complex gains, or with ``db`` their dB magnitudes.
         Each block is one :meth:`_golden_step` and one :meth:`_row_step`;
         ``golden``, when given, is the golden step of all of ``omegas``,
-        which then fit in one block. A failure is the least ``(kind, row,
-        position)`` over the blocks, a value that is not finite (kind 0)
-        before a zero magnitude (kind 1)."""
-        block = self._block()
-        out = np.empty((len(self.labels), len(omegas)), dtype=float if db else complex)
+        which then fit in one block. ``rows`` are the ``(labels, updates)``
+        solved, by default this system's own (see :meth:`_fault_rows`). A
+        failure is the least ``(kind, row, position)`` over the blocks, a
+        value that is not finite (kind 0) before a zero magnitude (kind
+        1)."""
+        labels, updates = (self.labels, self._updates) if rows is None else rows
+        block = self._block(len(labels))
+        out = np.empty((len(labels), len(omegas)), dtype=float if db else complex)
         failure = None
         with np.errstate(all="ignore"):
             for start in range(0, len(omegas), block):
                 w = omegas[start : start + block]
                 step = self._golden_step(w) if golden is None else golden
-                record = self._row_step(w, step, out[:, start : start + block], db)
+                record = self._row_step(w, step, out[:, start : start + block], db, updates)
                 if record is not None:
                     kind, row, col = record
                     record = (kind, row, start + col)
@@ -266,9 +281,9 @@ class MnaSystem:
             w = omegas[position : position + 1]
             if kind:
                 raise SimulationError(
-                    f"{self.labels[row]} failed: zero output magnitude at omega={w[0]:g} rad/s"
+                    f"{labels[row]} failed: zero output magnitude at omega={w[0]:g} rad/s"
                 )
-            _raise_failure(w, self._row_matrices(row, w), self.labels[row])
+            _raise_failure(w, self._row_matrices(row, w, updates), labels[row])
         return out
 
     def _golden_step(self, w) -> tuple:
@@ -290,12 +305,13 @@ class MnaSystem:
         # u.x0 and u.z, exact: u has at most two entries +-1
         return x[:, self.out_index], x[:, :, 0] @ self.rhs, np.einsum("nk,fnk->fk", self.rhs, x)
 
-    def _row_step(self, w, golden, out, db: bool):
+    def _row_step(self, w, golden, out, db: bool, updates):
         """Every row at ``w`` from the :meth:`_golden_step` arrays
-        ``golden``, the faults by the Sherman-Morrison formula, written to
-        ``out`` (rows, len(w)) as gains or with ``db`` as dB magnitudes.
-        Returns the block's failure ``(kind, row, column)``, or None."""
-        column, dg, jdc = self._updates
+        ``golden``, the faults of ``updates`` (stamp columns, ``dg`` and
+        ``j*dc``) by the Sherman-Morrison formula, written to ``out`` (rows,
+        len(w)) as gains or with ``db`` as dB magnitudes. Returns the
+        block's failure ``(kind, row, column)``, or None."""
+        column, dg, jdc = updates
         x_out, ux0, uz = golden
         d = dg + w[:, None] * jdc
         faults = x_out[:, :1] - d * ux0[:, column] * x_out[:, column] / (1.0 + d * uz[:, column])
@@ -309,14 +325,15 @@ class MnaSystem:
             if found.any():
                 return (kind, *divmod(int(np.argmax(found)), len(w)))
 
-    def _row_matrices(self, row, w) -> np.ndarray:
-        """One row's explicit MNA matrices at each of ``w``."""
-        column, dg, jdc = self._updates
+    def _row_matrices(self, row, w, updates) -> np.ndarray:
+        """One row's explicit MNA matrices at each of ``w``; ``updates`` hold
+        arrays, or one fault's slice and scalars."""
         with np.errstate(all="ignore"):
             a = self._matrices(w)
             if row:
-                u = self.rhs[:, column[row - 1]]
-                delta = dg[row - 1] + w * jdc[row - 1]
+                column, dg, jdc = updates
+                u = self.rhs[:, column][:, row - 1]
+                delta = np.atleast_1d(dg)[row - 1] + w * np.atleast_1d(jdc)[row - 1]
                 a = a + delta[:, None, None] * np.outer(u, u)
         return a
 

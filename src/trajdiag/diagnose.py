@@ -25,12 +25,13 @@ projection is part of the API.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .trajectory import _check_tolerances, _dot
+from .trajectory import _check_components, _check_tolerances, _dot
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,8 @@ def _layout(trajectories: tuple) -> tuple:
     dims = {t.dimension for t in trajectories}
     if len(dims) != 1:
         raise ValueError("trajectories have mixed dimensions")
+    components = tuple(t.component for t in trajectories)
+    _check_components(components)
     # every segment of every trajectory, in one array: segment k of the
     # concatenation runs from point k to point k + 1, except across the
     # end of a trajectory; zero-length segments are repeated points
@@ -93,7 +96,7 @@ def _layout(trajectories: tuple) -> tuple:
     )
     for array in arrays:  # every later call reads the same arrays
         array.flags.writeable = False
-    return (tuple(t.component for t in trajectories), dims.pop(), *arrays)
+    return (components, dims.pop(), *arrays)
 
 
 def classify(
@@ -104,10 +107,10 @@ def classify(
 ) -> DiagnosisResult:
     """Rank components by distance from the query to their trajectories.
 
-    Raises ``ValueError`` for no trajectories, mixed dimensions, a query
-    of the wrong dimension or with a non-finite coordinate, an
-    ``origin_tol`` that is not positive and finite, or an
-    ``ambiguity_margin`` that is not finite and non-negative.
+    Raises ``ValueError`` for no trajectories, mixed dimensions, a
+    component named twice, a query of the wrong dimension or with a
+    non-finite coordinate, an ``origin_tol`` that is not positive and
+    finite, or an ``ambiguity_margin`` that is not finite and non-negative.
     """
     _check_tolerances(origin_tol=origin_tol)
     if not 0.0 <= ambiguity_margin < np.inf:
@@ -120,9 +123,11 @@ def classify(
         raise ValueError(
             f"query dimension {query.shape} does not match trajectories ({n})"
         )
-    if not np.isfinite(query).all():
+    norm_sq = float(query @ query)
+    # finite only when every coordinate is; a finite query can overflow it
+    if not math.isfinite(norm_sq) and not np.isfinite(query).all():
         raise ValueError("query has a non-finite coordinate")
-    if float(np.sqrt(query @ query)) <= origin_tol:
+    if math.sqrt(norm_sq) <= origin_tol:
         return DiagnosisResult((), ambiguous=False, nominal=True)
 
     # a scalar projection's order of operations, ((q - a).d) / (d.d): t_raw is

@@ -212,16 +212,33 @@ _GOLDEN_SETS = 4
 
 
 @lru_cache(maxsize=_GOLDEN_SETS)
-def _kept_golden_step(system, omegas: tuple) -> tuple:
-    """The golden step of a cached golden system at ``omegas``, read-only.
+def _kept_golden_step(system, frequencies: tuple) -> tuple:
+    """The checked ``frequencies`` as an array, then the golden step of a
+    cached golden system there, all read-only.
 
     ``system`` hashes by identity, as each circuit's golden system is one
-    object; a golden solve that raises is not kept."""
+    object. The check runs here, on a miss only, so a set that fails it,
+    like a golden solve that raises, is not kept."""
+    omegas = _frequencies(frequencies)
     with np.errstate(all="ignore"):
-        arrays = system._golden_step(np.array(omegas))
+        arrays = (omegas, *system._golden_step(omegas))
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+def _set_key(frequencies) -> tuple:
+    """``frequencies`` as a key of :func:`_kept_golden_step`: a tuple or
+    list as its own values, unchecked, and anything else (an array, say)
+    checked and as floats."""
+    if type(frequencies) in (tuple, list):
+        key = tuple(frequencies)
+        try:
+            hash(key)
+            return key
+        except TypeError:  # a nested list, say: the check below names it
+            pass
+    return tuple(_frequencies(frequencies).tolist())
 
 
 def evaluate_at(circuit: Circuit, fault, frequencies) -> tuple[float, ...]:
@@ -230,22 +247,25 @@ def evaluate_at(circuit: Circuit, fault, frequencies) -> tuple[float, ...]:
     ``fault`` is a FaultSpec, or None for the golden circuit. Frequencies
     are angular (rad/s), in any order, all positive. A fault row comes
     from the same right-hand sides and update code as its
-    :class:`FaultEnsemble` row, so the two agree bit for bit.
+    :class:`FaultEnsemble` row, so the two agree bit for bit; the fault's
+    update goes to the solve as it is, without a copied system.
 
     The golden solve does not depend on the fault, so it is kept, read-only,
     for the last ``_GOLDEN_SETS`` (4) frequency sets of at most one solve
     block (153 frequencies on the bundled biquad): a repeated set, such as
-    a test vector applied to unit after unit, solves only the fault's
-    rank-one row, with the same bits. A golden solve that raises is not
-    kept, and a larger set runs the block loop.
+    a test vector applied to unit after unit, is found by its values,
+    skips the frequency check it passed when it was kept, and solves only
+    the fault's rank-one row, with the same bits. A set that fails the
+    check, or whose golden solve raises, is not kept and raises on every
+    call; a larger set runs the block loop.
     """
     golden = _golden_system(circuit)
-    system = golden if fault is None else golden.with_faults([fault])
-    omegas = _frequencies(frequencies)
-    kept = None
-    if len(omegas) <= system._block():
-        kept = _kept_golden_step(golden, tuple(omegas.tolist()))
-    return tuple(system._solve(omegas, db=True, golden=kept)[len(system.labels) - 1].tolist())
+    rows = golden._fault_rows(fault)
+    key = _set_key(frequencies)
+    if len(key) > golden._block(len(rows[0])):
+        return tuple(golden._solve(_frequencies(frequencies), db=True, rows=rows)[-1].tolist())
+    kept = _kept_golden_step(golden, key)
+    return tuple(golden._solve(kept[0], db=True, golden=kept[1:], rows=rows)[-1].tolist())
 
 
 def build_dictionary(circuit: Circuit, config: FaultConfig, grid) -> FaultDictionary:

@@ -24,6 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import NetlistError
 
@@ -100,11 +101,28 @@ class Element:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A validated element graph with a designated source and output node."""
+    """A validated element graph with a designated source and output node.
+
+    Its hash, the dataclass's hash of its fields, is computed once: the
+    solver's caches look a circuit up on every call. The cached value is
+    left out of a pickle, as a string's hash differs between processes.
+    """
 
     elements: tuple[Element, ...]
     input_source: str
     output_node: str
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.elements, self.input_source, self.output_node))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
 
     @property
     def nodes(self) -> frozenset[str]:

@@ -341,6 +341,16 @@ def _check_tolerances(**tolerances) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_components(names) -> None:
+    """Raise ``ValueError`` if ``names``, the components of a trajectory
+    set, name one component twice."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"component {name!r} has two trajectories")
+        seen.add(name)
+
+
 def _origin_tol(tol: float, origin_tol: float | None) -> float:
     """``origin_tol``, ``tol`` when None, once both are checked."""
     origin_tol = tol if origin_tol is None else origin_tol
@@ -373,12 +383,14 @@ def count_intersections(trajectories, tol: float = 1e-6, origin_tol: float | Non
     Returns ``(I, records)``. ``tol`` is the incidence distance threshold;
     ``origin_tol`` (default: ``tol``) is the radius of the exclusion ball
     around the golden point, the zero vector every trajectory passes
-    through, inside which contacts are expected and not counted.
+    through, inside which contacts are expected and not counted. A set
+    that names a component twice raises ``ValueError``.
     """
     origin_tol = _origin_tol(tol, origin_tol)
     trajectories = list(trajectories)
     if len(trajectories) < 2:
         return 0, []
+    _check_components(t.component for t in trajectories)
     dims = {t.dimension for t in trajectories}
     if len(dims) != 1:
         raise ValueError(f"trajectories have mixed dimensions: {sorted(dims)}")

@@ -287,6 +287,19 @@ def test_mixed_dimensions_raise_on_every_call_and_are_never_cached():
     assert diagnose._layout.cache_info().currsize == 0
 
 
+def test_a_component_named_twice_raises_and_is_never_cached(biquad, biquad_setup):
+    # a repeated R2 was ranked twice at distance 0, and the result flagged
+    # ambiguous against itself
+    tv, trajectories, golden = biquad_setup
+    query = signature(golden, evaluate_at(biquad, FaultSpec("R2", -0.2), tv.frequencies))
+    repeated = [*trajectories, trajectories[1]]
+    diagnose._layout.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="component 'R2' has two trajectories"):
+            classify(query, repeated)
+    assert diagnose._layout.cache_info().currsize == 0
+
+
 def test_permuted_set_gets_its_own_layout(biquad_setup):
     _, trajectories, _ = biquad_setup
     diagnose._layout.cache_clear()

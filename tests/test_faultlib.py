@@ -126,12 +126,29 @@ def test_evaluate_at_matches_sweep(biquad):
 
 
 def test_evaluate_at_shapes_and_validation(biquad):
+    from trajdiag.faultlib import _kept_golden_step
+
     values = evaluate_at(biquad, FaultSpec("R1", 0.2), [0.5, 2.0])
     assert len(values) == 2
     with pytest.raises(ValueError):
         evaluate_at(biquad, None, [])
     with pytest.raises(ValueError):
         evaluate_at(biquad, None, [1.0, -2.0])
+    # a kept set skips the check, so a bad one must never be kept: the same
+    # text on every call, for a 2-D array (which no key can hold), a NaN and
+    # one set given twice
+    kept = _kept_golden_step.cache_info().currsize
+    for frequencies, message in [
+        (np.array([[0.5, 2.0]]), "frequencies must be a non-empty 1-D sequence"),
+        ([0.5, math.nan], "frequencies must be positive and finite"),
+        ((0.5, -2.0), "frequencies must be positive and finite"),
+        ((0.5, -2.0), "frequencies must be positive and finite"),
+    ]:
+        for fault in (None, FaultSpec("R1", 0.2), None):
+            with pytest.raises(ValueError) as error:
+                evaluate_at(biquad, fault, frequencies)
+            assert str(error.value) == message
+            assert _kept_golden_step.cache_info().currsize == kept
 
 
 def test_every_fault_visible_in_transition_band(biquad, biquad_faults):

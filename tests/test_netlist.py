@@ -1,7 +1,10 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajdiag.data import biquad_path
 from trajdiag.errors import NetlistError
 from trajdiag.faultlib import FaultSpec
 from trajdiag.netlist import (
@@ -170,6 +173,27 @@ def circuits(draw):
 @given(circuits())
 def test_render_parse_round_trip_property(circuit):
     assert parse_netlist(render_netlist(circuit)) == circuit
+
+
+def test_circuit_hash_is_computed_once_and_not_pickled():
+    from trajdiag.acsim import _golden_system
+
+    text = biquad_path().read_text()
+    first, second = parse_netlist(text), parse_netlist(text)
+    _golden_system.cache_clear()
+    # two parses are one circuit: one golden system
+    assert _golden_system(first) is _golden_system(second)
+    assert hash(first) == hash((first.elements, first.input_source, first.output_node))
+    # one value apart is another circuit
+    other = parse_netlist(text.replace("C2 inv out 0.5", "C2 inv out 0.55"))
+    assert other != first
+    assert _golden_system(other) is not _golden_system(first)
+    assert _golden_system.cache_info().currsize == 2
+    # a string's hash differs between processes, so the cached one stays home
+    assert "_hash" in vars(first)
+    copy = pickle.loads(pickle.dumps(first))
+    assert "_hash" not in vars(copy)
+    assert copy == first and hash(copy) == hash(first)
 
 
 def test_apply_deviation_scales_value():

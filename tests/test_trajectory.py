@@ -21,6 +21,7 @@ from trajdiag.trajectory import (
     write_trajectories_csv,
 )
 
+from conftest import ORACLE_VECTOR
 from oracle_utils import intersection_counts, random_segment_pairs, reference_count, sampled_gap
 
 
@@ -156,6 +157,14 @@ def test_x_configuration_counts_one():
     assert count == 1
     assert records[0].kind == CROSS
     assert records[0].point == pytest.approx((1.5, 0.5))
+
+
+def test_a_component_named_twice_is_rejected(biquad, biquad_faults):
+    # the repeated trajectory's 20 overlaps with itself were counted
+    trajectories = build_trajectories(biquad, biquad_faults, TestVector(ORACLE_VECTOR))
+    assert count_intersections(trajectories, 1e-6)[0] == 0
+    with pytest.raises(ValueError, match="component 'R2' has two trajectories"):
+        count_intersections([*trajectories, trajectories[1]], 1e-6)
 
 
 def test_parallel_disjoint_counts_zero():
