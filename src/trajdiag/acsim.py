@@ -7,27 +7,28 @@ reactance live in ``C``. Frequencies are angular (rad/s) throughout this
 module; the CLI converts from Hz when so configured. Magnitudes are
 reported in dB.
 
-Every AC response in the package comes from the one block loop behind
-:meth:`MnaSystem.transfer` and :meth:`MnaSystem.magnitudes`.
-A fault deviates one passive, which changes one two-terminal stamp, so a
-faulty matrix is ``A_0(w) + delta(w) u u^T``; one LU of the golden
-``A_0(w)`` with right-hand sides ``[b | U]`` (the source vector and the
-stamp column of every passive) then gives every faulty output by the
-Sherman-Morrison formula (Sherman & Morrison 1950). Frequencies are
-solved in blocks of at most ``_BLOCK_ENTRIES`` complex entries, and each
-block's rows go straight into the one (rows, frequencies) result, as
-complex gains or as dB magnitudes; the working set is that result plus
-one block. Each frequency is its own LU, so results do not depend on
-blocking. A block is two steps: the golden step (the LU and its
-products, which no fault enters) and the row step (the Sherman-Morrison
-rows, the dB values and the failure record). ``faultlib.evaluate_at``
-keeps the golden step of a repeated one-block frequency set and runs
-only the row step.
+Every magnitude in the package comes from one block loop,
+:meth:`MnaSystem._solve`, and :func:`solve_ac` reads the complex output
+of that loop's golden step at its one frequency. A fault deviates one
+passive, which changes one two-terminal stamp, so a faulty matrix is
+``A_0(w) + delta(w) u u^T``; one LU of the golden ``A_0(w)`` with
+right-hand sides ``[b | U]`` (the source vector and the stamp column of
+every passive) then gives every faulty output by the Sherman-Morrison
+formula (Sherman & Morrison 1950). An ``MnaSystem`` is the golden system
+only, and :meth:`MnaSystem.fault_rows` turns faults into the rows a
+solve adds to it. Frequencies are solved in blocks of at most
+``_BLOCK_ENTRIES`` complex entries, and each block's rows go straight
+into the one (rows, frequencies) dB result; the working set is that
+result plus one block. Each frequency is its own LU, so results do not
+depend on blocking. A block is two steps: the golden step (the LU and
+its products, which no fault enters) and the row step (the
+Sherman-Morrison rows, the dB values and the failure record).
+``faultlib.evaluate_at`` keeps the golden step of a repeated one-block
+frequency set and runs only the row step.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,24 +82,22 @@ class ResponseCurve:
 
 
 class MnaSystem:
-    """Stamped golden MNA matrices of a circuit, plus rank-one fault rows.
+    """Stamped golden MNA matrices of a circuit, and its rank-one fault rows.
 
     Unknowns are the non-ground node voltages (in first-appearance order)
     followed by one branch current per voltage source, vcvs and inductor.
     ``g`` and ``c`` are the golden (size, size) matrices. ``rhs`` is ``[b |
     U]``: the unit source vector, then the stamp column ``u`` of every
     passive element in netlist order (``e_i - e_j`` for an R or C between
-    nodes i and j, ``e_row`` for an inductor's branch row). Every system of
-    a circuit solves these same right-hand sides, so a fault's row does not
+    nodes i and j, ``e_row`` for an inductor's branch row). Every solve of
+    a circuit uses these same right-hand sides, so a fault's row does not
     depend on which other faults share the solve. Row 0 of every result is
-    the golden circuit; :meth:`with_faults` adds one row per fault.
-    ``labels`` name the rows in errors. :func:`_golden_system` caches one
-    system per circuit.
+    the golden circuit, named ``golden circuit`` in errors; the rows of
+    :meth:`fault_rows` follow, each named by its fault's label.
+    :func:`_golden_system` caches one system per circuit.
     """
 
-    __slots__ = (
-        "labels", "g", "c", "rhs", "out_index", "size", "_circuit", "_column", "_updates",
-    )
+    __slots__ = ("g", "c", "rhs", "out_index", "size", "_circuit", "_column")
 
     def __init__(self, circuit: Circuit):
         node_index: dict[str, int] = {}
@@ -164,7 +163,6 @@ class MnaSystem:
                 stamp(g, row, cp, -element.value)
                 stamp(g, row, cq, element.value)
 
-        self.labels = ("golden circuit",)
         self.g, self.c, self.rhs, self.size = g, c, rhs[:size], size
         # golden systems are cached and shared between callers
         for array in (g, c, self.rhs):
@@ -172,10 +170,10 @@ class MnaSystem:
         self.out_index = node_index[circuit.output_node]
         self._circuit = circuit
         self._column = column
-        self._updates = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
 
-    def with_faults(self, faults) -> MnaSystem:
-        """This golden circuit plus one row per fault, stamping nothing new.
+    def fault_rows(self, faults) -> tuple:
+        """``(faults, (columns, dg, j*dc))``: the rows :meth:`_solve` adds
+        to the golden one, one per fault, stamping nothing new.
 
         ``faults`` are ``faultlib.FaultSpec``-like (``component``,
         ``deviation``, ``label``); a bad target or deviation raises the
@@ -183,62 +181,33 @@ class MnaSystem:
         element k by (1 + d) adds ``delta(w) u_k u_k^T`` to the matrix, with
         ``delta = dg + j*w*dc``: ``dg = 1/(R(1+d)) - 1/R`` for a resistor,
         ``dc = C*d`` for a capacitor and ``dc = -L*d`` for an inductor (its
-        branch row holds ``-j*w*L``).
+        branch row holds ``-j*w*L``). ``columns`` are the faults' stamp
+        columns as an int array; ``dg`` and ``j*dc`` are float and complex
+        arrays.
         """
-        updates = [self._fault_update(fault) for fault in faults]
-        column, dg, dc = zip(*updates) if updates else ((), (), ())
-        system = copy.copy(self)
-        system.labels = (self.labels[0], *(fault.label for fault in faults))
-        system._updates = (np.asarray(column, dtype=int), np.asarray(dg), 1j * np.asarray(dc))
-        return system
-
-    def _fault_update(self, fault) -> tuple[int, float, float]:
-        """One fault's stamp column, ``dg`` and ``dc`` (see :meth:`with_faults`)."""
-        element = deviation_target(self._circuit, fault)
-        column, value, d = self._column[element.id], element.value, fault.deviation
-        if element.kind is ElementKind.RESISTOR:
-            return column, 1.0 / (value * (1.0 + d)) - 1.0 / value, 0.0
-        return column, 0.0, value * d if element.kind is ElementKind.CAPACITOR else -value * d
-
-    def _fault_rows(self, fault) -> tuple:
-        """``(labels, updates)`` as :meth:`_solve` takes them: this golden
-        system's row and, unless ``fault`` is None, the fault's, with the
-        values of ``with_faults([fault])`` and no copied system. The fault's
-        stamp column is a slice, which selects without a copy, and its
-        ``dg`` and ``j*dc`` are scalars."""
-        if fault is None:
-            return self.labels, self._updates
-        column, dg, dc = self._fault_update(fault)
-        return (self.labels[0], fault.label), (slice(column, column + 1), dg, 1j * dc)
-
-    def transfer(self, omegas) -> np.ndarray:
-        """Complex V(output)/V(source), shape (rows, frequencies).
-
-        Frequencies are angular, in any order, positive and finite. With
-        the golden solution ``x0`` and ``z = A_0^-1 u`` of a fault's stamp
-        column, the Sherman-Morrison formula gives its output as
-        ``x0[out] - delta (u.x0) z[out] / (1 + delta u.z)``. A value that is
-        not finite (a zero denominator included) raises for the first such
-        row and, in that row, the first such frequency in the order given:
-        :func:`_raise_failure` names it and the cause its explicit matrix
-        shows there.
-        """
-        return self._solve(_frequencies(omegas), db=False)
+        faults = tuple(faults)
+        columns, dg, dc = [], [], []
+        for fault in faults:
+            element = deviation_target(self._circuit, fault)
+            value, d = element.value, fault.deviation
+            columns.append(self._column[element.id])
+            if element.kind is ElementKind.RESISTOR:
+                dg.append(1.0 / (value * (1.0 + d)) - 1.0 / value)
+                dc.append(0.0)
+            else:
+                dg.append(0.0)
+                dc.append(value * d if element.kind is ElementKind.CAPACITOR else -value * d)
+        return faults, (np.array(columns, dtype=int), np.array(dg), 1j * np.array(dc))
 
     def magnitudes(self, omegas) -> np.ndarray:
-        """dB magnitudes 20*log10(|gain|), shape (rows, frequencies).
+        """dB magnitudes 20*log10(|gain|) of the golden circuit, shape (1,
+        frequencies): :meth:`_solve` with no fault row."""
+        return self._solve(_frequencies(omegas), self.fault_rows(()))
 
-        The same solve as :meth:`transfer`, each block's rows turned into dB
-        as it is solved. Where no value is non-finite, a zero magnitude
-        raises, naming the row-major first.
-        """
-        return self._solve(_frequencies(omegas), db=True)
-
-    def _block(self, n_rows: int | None = None) -> int:
+    def _block(self, n_rows: int) -> int:
         """Frequencies per solve block: ``_BLOCK_ENTRIES`` complex entries of
         ``A``, the solutions ``[x0 | Z]`` and one value for each of
-        ``n_rows`` rows, by default this system's."""
-        n_rows = len(self.labels) if n_rows is None else n_rows
+        ``n_rows`` rows."""
         per_frequency = self.size * (self.size + self.rhs.shape[1]) + n_rows
         return max(1, _BLOCK_ENTRIES // per_frequency)
 
@@ -253,25 +222,31 @@ class MnaSystem:
         a.imag += 0.0
         return a
 
-    def _solve(self, omegas, db: bool, golden=None, rows=None) -> np.ndarray:
-        """Every row at each of the checked ``omegas``, block by block, into
-        one result: the complex gains, or with ``db`` their dB magnitudes.
-        Each block is one :meth:`_golden_step` and one :meth:`_row_step`;
-        ``golden``, when given, is the golden step of all of ``omegas``,
-        which then fit in one block. ``rows`` are the ``(labels, updates)``
-        solved, by default this system's own (see :meth:`_fault_rows`). A
-        failure is the least ``(kind, row, position)`` over the blocks, a
-        value that is not finite (kind 0) before a zero magnitude (kind
-        1)."""
-        labels, updates = (self.labels, self._updates) if rows is None else rows
-        block = self._block(len(labels))
-        out = np.empty((len(labels), len(omegas)), dtype=float if db else complex)
+    def _solve(self, omegas, rows, golden=None) -> np.ndarray:
+        """The dB magnitudes of the golden row and the :meth:`fault_rows`
+        ``rows`` at each of the checked ``omegas``, block by block, into one
+        (rows, frequencies) result. Each block is one :meth:`_golden_step`
+        and one :meth:`_row_step`; ``golden``, when given, is the golden
+        step of all of ``omegas``, which then fit in one block.
+
+        With the golden solution ``x0`` and ``z = A_0^-1 u`` of a fault's
+        stamp column, the Sherman-Morrison formula gives its output as
+        ``x0[out] - delta (u.x0) z[out] / (1 + delta u.z)``. A failure is
+        the least ``(kind, row, position)`` over the blocks: a value that is
+        not finite (kind 0, a zero denominator included) before a zero
+        magnitude (kind 1). A non-finite value raises through
+        :func:`_raise_failure`, which names the cause the row's explicit
+        matrix shows at that frequency.
+        """
+        faults, updates = rows
+        block = self._block(1 + len(faults))
+        out = np.empty((1 + len(faults), len(omegas)))
         failure = None
         with np.errstate(all="ignore"):
             for start in range(0, len(omegas), block):
                 w = omegas[start : start + block]
                 step = self._golden_step(w) if golden is None else golden
-                record = self._row_step(w, step, out[:, start : start + block], db, updates)
+                record = self._row_step(w, step, out[:, start : start + block], updates)
                 if record is not None:
                     kind, row, col = record
                     record = (kind, row, start + col)
@@ -279,11 +254,12 @@ class MnaSystem:
         if failure is not None:
             kind, row, position = failure
             w = omegas[position : position + 1]
+            label = faults[row - 1].label if row else "golden circuit"
             if kind:
                 raise SimulationError(
-                    f"{labels[row]} failed: zero output magnitude at omega={w[0]:g} rad/s"
+                    f"{label} failed: zero output magnitude at omega={w[0]:g} rad/s"
                 )
-            _raise_failure(w, self._row_matrices(row, w, updates), labels[row])
+            _raise_failure(w, self._row_matrices(row, w, updates), label)
         return out
 
     def _golden_step(self, w) -> tuple:
@@ -300,41 +276,39 @@ class MnaSystem:
         try:
             x = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError:
-            _raise_failure(w, a, self.labels[0])
+            _raise_failure(w, a, "golden circuit")
         del a  # the block's peak is its row arithmetic, without A
         # u.x0 and u.z, exact: u has at most two entries +-1
         return x[:, self.out_index], x[:, :, 0] @ self.rhs, np.einsum("nk,fnk->fk", self.rhs, x)
 
-    def _row_step(self, w, golden, out, db: bool, updates):
+    def _row_step(self, w, golden, out, updates):
         """Every row at ``w`` from the :meth:`_golden_step` arrays
-        ``golden``, the faults of ``updates`` (stamp columns, ``dg`` and
-        ``j*dc``) by the Sherman-Morrison formula, written to ``out`` (rows,
-        len(w)) as gains or with ``db`` as dB magnitudes. Returns the
-        block's failure ``(kind, row, column)``, or None."""
+        ``golden`` and the :meth:`fault_rows` ``updates``, as dB magnitudes
+        written to ``out`` (rows, len(w)). Returns the block's failure
+        ``(kind, row, column)``, or None."""
         column, dg, jdc = updates
         x_out, ux0, uz = golden
         d = dg + w[:, None] * jdc
-        faults = x_out[:, :1] - d * ux0[:, column] * x_out[:, column] / (1.0 + d * uz[:, column])
+        faults = x_out[:, :1] - d * ux0.take(column, axis=1) * x_out.take(column, axis=1) / (
+            1.0 + d * uz.take(column, axis=1)
+        )
         h = np.concatenate((x_out[:, :1], faults), axis=1).T
-        values = out[...] = 20.0 * np.log10(np.abs(h)) if db else h
+        values = out[...] = 20.0 * np.log10(np.abs(h))
         # |h| is inf or nan where h is not finite, and log10 is -inf at 0 only
         if np.isfinite(values).all():
             return None
-        zero = (values == -np.inf) & db
-        for kind, found in enumerate((~np.isfinite(values) & ~zero, zero)):
+        for kind, found in enumerate((np.isnan(values) | (values == np.inf), values == -np.inf)):
             if found.any():
                 return (kind, *divmod(int(np.argmax(found)), len(w)))
 
     def _row_matrices(self, row, w, updates) -> np.ndarray:
-        """One row's explicit MNA matrices at each of ``w``; ``updates`` hold
-        arrays, or one fault's slice and scalars."""
+        """One row's explicit MNA matrices at each of ``w``."""
         with np.errstate(all="ignore"):
             a = self._matrices(w)
             if row:
                 column, dg, jdc = updates
-                u = self.rhs[:, column][:, row - 1]
-                delta = np.atleast_1d(dg)[row - 1] + w * np.atleast_1d(jdc)[row - 1]
-                a = a + delta[:, None, None] * np.outer(u, u)
+                u = self.rhs[:, column[row - 1]]
+                a = a + (dg[row - 1] + w * jdc[row - 1])[:, None, None] * np.outer(u, u)
         return a
 
 
@@ -382,8 +356,18 @@ def _golden_system(circuit: Circuit) -> MnaSystem:
 
 
 def solve_ac(circuit: Circuit, frequency: float) -> complex:
-    """Complex gain V(output)/V(source) at one angular frequency."""
-    return complex(_golden_system(circuit).transfer([frequency])[0, 0])
+    """Complex gain V(output)/V(source) at one angular frequency: the
+    golden step's output there. A gain that is not finite, or a matrix
+    entry out of floating-point range (where the LU can still return a
+    finite gain), raises through :func:`_raise_failure`."""
+    system = _golden_system(circuit)
+    w = _frequencies([frequency])
+    with np.errstate(all="ignore"):
+        gain = complex(system._golden_step(w)[0][0, 0])
+        a = system._matrices(w)
+    if not (np.isfinite(gain) and np.isfinite(a).all()):
+        _raise_failure(w, a, "golden circuit")
+    return gain
 
 
 def sweep(circuit: Circuit, grid) -> ResponseCurve:

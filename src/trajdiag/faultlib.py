@@ -8,11 +8,12 @@ fault, it denotes the golden circuit and is stored once.
 
 Every magnitude comes from the circuit's cached golden ``MnaSystem``
 (``acsim._golden_system``), whose faults are rank-one updates of the
-golden solve. :class:`FaultEnsemble` adds every grid fault to it
-(dictionary, trajectories, GA), and :func:`evaluate_at` adds the one
-fault a query asks about, through the same update code. The fault dictionary is the
-ensemble's (1 + faults, frequencies) dB array itself; its ``golden`` and
-``entries`` curves are views built on demand.
+golden solve. :class:`FaultEnsemble` solves it with the rows of every
+grid fault (dictionary, trajectories, GA), and :func:`evaluate_at` with
+the row of the one fault a query asks about; both build their rows with
+``MnaSystem.fault_rows``. The fault dictionary is the ensemble's (1 +
+faults, frequencies) dB array itself; its ``golden`` and ``entries``
+curves are views built on demand.
 """
 
 from __future__ import annotations
@@ -186,18 +187,20 @@ class FaultEnsemble:
     """Golden circuit plus every grid fault, solved together.
 
     Row 0 of :meth:`magnitudes` is the golden response; row 1+k follows the
-    order of :func:`enumerate_faults`. Each fault is a rank-one update of
-    the circuit's cached golden system, so nothing is re-stamped.
+    order of :func:`enumerate_faults`. It holds the circuit's cached golden
+    system and the fault rows of every grid fault, each a rank-one update
+    of that system, so nothing is stamped or copied.
     """
 
-    __slots__ = ("_system",)
+    __slots__ = ("_system", "_rows")
 
     def __init__(self, circuit: Circuit, config: FaultConfig):
-        self._system = _golden_system(circuit).with_faults(config.faults)
+        self._system = _golden_system(circuit)
+        self._rows = self._system.fault_rows(config.faults)
 
     def magnitudes(self, omegas) -> np.ndarray:
         """dB magnitudes, shape (1 + n_faults, n_frequencies)."""
-        return self._system.magnitudes(omegas)
+        return self._system._solve(_frequencies(omegas), self._rows)
 
 
 @lru_cache(maxsize=16)
@@ -246,9 +249,8 @@ def evaluate_at(circuit: Circuit, fault, frequencies) -> tuple[float, ...]:
 
     ``fault`` is a FaultSpec, or None for the golden circuit. Frequencies
     are angular (rad/s), in any order, all positive. A fault row comes
-    from the same right-hand sides and update code as its
-    :class:`FaultEnsemble` row, so the two agree bit for bit; the fault's
-    update goes to the solve as it is, without a copied system.
+    from the same right-hand sides and ``fault_rows`` code as its
+    :class:`FaultEnsemble` row, so the two agree bit for bit.
 
     The golden solve does not depend on the fault, so it is kept, read-only,
     for the last ``_GOLDEN_SETS`` (4) frequency sets of at most one solve
@@ -260,12 +262,12 @@ def evaluate_at(circuit: Circuit, fault, frequencies) -> tuple[float, ...]:
     call; a larger set runs the block loop.
     """
     golden = _golden_system(circuit)
-    rows = golden._fault_rows(fault)
+    rows = golden.fault_rows(() if fault is None else (fault,))
     key = _set_key(frequencies)
-    if len(key) > golden._block(len(rows[0])):
-        return tuple(golden._solve(_frequencies(frequencies), db=True, rows=rows)[-1].tolist())
+    if len(key) > golden._block(1 + len(rows[0])):
+        return tuple(golden._solve(_frequencies(frequencies), rows)[-1].tolist())
     kept = _kept_golden_step(golden, key)
-    return tuple(golden._solve(kept[0], db=True, golden=kept[1:], rows=rows)[-1].tolist())
+    return tuple(golden._solve(kept[0], rows, kept[1:])[-1].tolist())
 
 
 def build_dictionary(circuit: Circuit, config: FaultConfig, grid) -> FaultDictionary:

@@ -164,6 +164,20 @@ def test_singular_system_reports_condition():
         solve_ac(floating, 1.0)
 
 
+def test_solve_ac_raises_where_its_matrix_overflows():
+    # at 1e9 rad/s w*C is inf, and the LU still returns exactly 0 where the
+    # gain (about -1e-309j) is representable: that is a failure, not 0j; at
+    # 1e8 rad/s every entry is in range and the tiny gain is returned
+    circuit = parse_netlist("V1 in 0 1\nR1 in out 1\nC1 out 0 1e300\n.input V1\n.output out\n")
+    with pytest.raises(SimulationError) as failure:
+        solve_ac(circuit, 1e9)
+    assert str(failure.value) == (
+        "golden circuit failed: an MNA matrix entry is out of floating-point range "
+        "at omega=1e+09 rad/s; check element values"
+    )
+    assert solve_ac(circuit, 1e8) == -1e-308j
+
+
 def test_failure_without_a_cause_names_its_frequency():
     # a row that failed where its matrix is finite and well conditioned
     from trajdiag.acsim import _raise_failure

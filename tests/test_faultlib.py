@@ -254,7 +254,7 @@ def test_ensemble_matches_direct_solves():
         config = FaultConfig(circuit.passive_ids())
         ensemble = FaultEnsemble(circuit, config)
         mags = ensemble.magnitudes(omegas)
-        assert len(omegas) > 2 * ensemble._system._block()
+        assert len(omegas) > 2 * ensemble._system._block(1 + len(config.faults))
         reference = reference_gains(circuit, enumerate_faults(config), omegas)
         assert np.max(np.abs(mags - 20.0 * np.log10(np.abs(reference)))) <= 1e-9, seed
 
@@ -270,7 +270,7 @@ def test_ensemble_columns_do_not_depend_on_their_batch(biquad):
     for circuit in (biquad, ladder):
         config = FaultConfig(circuit.passive_ids())
         ensemble = FaultEnsemble(circuit, config)
-        per_block = ensemble._system._block()
+        per_block = ensemble._system._block(1 + len(config.faults))
         for count in (2, 7, per_block + 1, 2 * per_block + 5):
             omegas = 10.0 ** rng.uniform(-2.0, 2.0, count)
             whole = ensemble.magnitudes(omegas)
@@ -298,30 +298,30 @@ def test_magnitudes_working_set_is_the_result_plus_one_block():
     assert mags.shape[0] > 40 and peak <= mags.nbytes + 2 * 2**20, (peak, mags.nbytes)
 
 
-def _per_frequency(system):
-    """Solve-block entries one frequency of ``system`` takes."""
-    return system.size * (system.size + system.rhs.shape[1]) + len(system.labels)
+def _per_frequency(system, n_rows):
+    """Solve-block entries one frequency of ``system`` with ``n_rows``
+    result rows takes."""
+    return system.size * (system.size + system.rhs.shape[1]) + n_rows
 
 
 @pytest.mark.parametrize("per_block", [1, 3])
-def test_blocked_magnitudes_are_the_db_of_transfer(monkeypatch, biquad, per_block):
+def test_blocked_magnitudes_equal_the_one_block_result(monkeypatch, biquad, per_block):
     # 25 frequencies at 1 or 3 a block (the last one ragged): the dB rows
-    # written block by block equal 20 log10 |transfer| and the one-block
-    # result bit for bit
+    # written block by block equal the one-block result bit for bit
     from trajdiag import acsim
     from trajdiag.faultlib import FaultEnsemble
 
     omegas = 10.0 ** np.random.default_rng(77).uniform(-2.0, 2.0, 25)
     ladder = parse_netlist(random_rlc_vcvs_netlist(np.random.default_rng(1)))
     for circuit in (biquad, ladder):
-        system = FaultEnsemble(circuit, FaultConfig(circuit.passive_ids()))._system
-        whole = system.magnitudes(omegas)
-        assert system._block() >= len(omegas)
-        monkeypatch.setattr(acsim, "_BLOCK_ENTRIES", per_block * _per_frequency(system))
-        assert system._block() == per_block
-        mags = system.magnitudes(omegas)
-        assert mags.tobytes() == whole.tobytes()
-        assert mags.tobytes() == (20.0 * np.log10(np.abs(system.transfer(omegas)))).tobytes()
+        config = FaultConfig(circuit.passive_ids())
+        ensemble, n_rows = FaultEnsemble(circuit, config), 1 + len(config.faults)
+        whole = ensemble.magnitudes(omegas)
+        assert ensemble._system._block(n_rows) >= len(omegas)
+        entries = per_block * _per_frequency(ensemble._system, n_rows)
+        monkeypatch.setattr(acsim, "_BLOCK_ENTRIES", entries)
+        assert ensemble._system._block(n_rows) == per_block
+        assert ensemble.magnitudes(omegas).tobytes() == whole.tobytes()
         monkeypatch.undo()
 
 
@@ -370,12 +370,14 @@ def test_failures_are_named_across_blocks(monkeypatch, text, config, omegas, mes
     from trajdiag import acsim
     from trajdiag.faultlib import FaultEnsemble
 
-    system = FaultEnsemble(parse_netlist(text), FaultConfig(*config))._system
+    config = FaultConfig(*config)
+    ensemble, n_rows = FaultEnsemble(parse_netlist(text), config), 1 + len(config.faults)
     for per_block in (len(omegas), 3):
-        monkeypatch.setattr(acsim, "_BLOCK_ENTRIES", per_block * _per_frequency(system))
-        assert system._block() == per_block
+        entries = per_block * _per_frequency(ensemble._system, n_rows)
+        monkeypatch.setattr(acsim, "_BLOCK_ENTRIES", entries)
+        assert ensemble._system._block(n_rows) == per_block
         with np.errstate(all="ignore"), pytest.raises(td.SimulationError) as failure:
-            system.magnitudes(omegas)
+            ensemble.magnitudes(omegas)
         assert str(failure.value) == message
 
 
@@ -390,6 +392,15 @@ def test_evaluate_at_matches_ensemble_row(biquad, biquad_faults):
         assert np.array_equal(evaluate_at(biquad, None, vector), mags[0])
         for row, spec in enumerate(enumerate_faults(biquad_faults), start=1):
             assert np.array_equal(evaluate_at(biquad, spec, vector), mags[row]), spec
+
+
+def test_ensemble_solves_the_one_cached_golden_system(biquad, biquad_faults):
+    # the ensemble holds the circuit's cached golden system itself, not a
+    # copy, beside its fault rows
+    from trajdiag.acsim import _golden_system
+    from trajdiag.faultlib import ensemble_for
+
+    assert ensemble_for(biquad, biquad_faults)._system is _golden_system(biquad)
 
 
 # a doubly terminated two-section RLC ladder: inductor branch rows and shunt
@@ -425,7 +436,10 @@ def test_evaluate_at_reuses_the_golden_solve_bit_for_bit(n, vectors, picks):
         row = pick % (1 + len(config.faults))
         spec = config.faults[row - 1] if row else None
         fresh = MnaSystem(circuit)
-        fresh = fresh.with_faults([spec]).magnitudes(vector)[1] if row else fresh.magnitudes(vector)[0]
+        if row:
+            fresh = fresh._solve(np.array(vector), fresh.fault_rows([spec]))[1]
+        else:
+            fresh = fresh.magnitudes(vector)[0]
         got = np.asarray(evaluate_at(circuit, spec, vector)).tobytes()
         assert got == fresh.tobytes(), (ladder, vector, spec)
         assert got == ensemble_for(circuit, config).magnitudes(vector)[row].tobytes()
@@ -485,7 +499,7 @@ def test_kept_golden_solves_are_few_small_and_read_only(biquad):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
     # a set larger than one solve block runs the block loop and keeps nothing
-    omegas = np.geomspace(0.05, 20.0, 3 * system.with_faults([FaultSpec("R1", 0.2)])._block())
+    omegas = np.geomspace(0.05, 20.0, 3 * system._block(2))
     _kept_golden_step.cache_clear()
     tracemalloc.start()
     try:

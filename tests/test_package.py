@@ -1,7 +1,8 @@
 """Static checks on the package and test source; no linter is installed,
 so the suite does the two lint rules the project keeps: no unused imports,
-and no private module-level name in the package that nothing uses. It also
-checks that the names the benchmark under ``bench/`` looks up still exist."""
+and no private name in the package (module-level, method or class-level)
+that nothing uses. It also checks that the names the benchmark under
+``bench/`` looks up still exist."""
 
 import ast
 import importlib
@@ -44,9 +45,11 @@ def test_every_import_is_used(path):
 SOURCES = sorted(Path(trajdiag.__file__).parent.rglob("*.py"))
 
 
-def _private_definitions(tree):
-    """Private names a module binds at its top level: defs, classes, assignments."""
-    for node in tree.body:
+def _private_definitions(body):
+    """Private names a module or class body binds: defs, classes and
+    assignments, and those of every class it defines (methods and
+    class-level names)."""
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -56,10 +59,13 @@ def _private_definitions(tree):
         else:
             continue
         yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
+        if isinstance(node, ast.ClassDef):
+            yield from _private_definitions(node.body)
 
 
 def test_every_private_name_is_used():
-    # a private helper that only its own definition mentions is dead code
+    # a private helper, method or class-level name that only its own
+    # definition mentions is dead code
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
     used = set()
     for tree in trees.values():
@@ -73,7 +79,7 @@ def test_every_private_name_is_used():
     unused = sorted(
         f"{module}: {name}"
         for module, tree in trees.items()
-        for name in _private_definitions(tree)
+        for name in _private_definitions(tree.body)
         if name not in used
     )
     assert not unused, f"private names defined but never used: {unused}"
