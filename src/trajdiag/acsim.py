@@ -234,7 +234,9 @@ class MnaSystem:
         ``x0[out] - delta (u.x0) z[out] / (1 + delta u.z)``. A failure is
         the least ``(kind, row, position)`` over the blocks: a value that is
         not finite (kind 0, a zero denominator included) before a zero
-        magnitude (kind 1). A non-finite value raises through
+        magnitude (kind 1). A non-finite value, and a zero magnitude whose
+        row matrix has an entry out of range there (the LU can return an
+        exact 0 from an overflowed matrix), raise through
         :func:`_raise_failure`, which names the cause the row's explicit
         matrix shows at that frequency.
         """
@@ -255,11 +257,12 @@ class MnaSystem:
             kind, row, position = failure
             w = omegas[position : position + 1]
             label = faults[row - 1].label if row else "golden circuit"
-            if kind:
+            a = self._row_matrices(row, w, updates)
+            if kind and np.isfinite(a).all():
                 raise SimulationError(
                     f"{label} failed: zero output magnitude at omega={w[0]:g} rad/s"
                 )
-            _raise_failure(w, self._row_matrices(row, w, updates), label)
+            _raise_failure(w, a, label)
         return out
 
     def _golden_step(self, w) -> tuple:

@@ -280,9 +280,17 @@ def build_dictionary(circuit: Circuit, config: FaultConfig, grid) -> FaultDictio
     return FaultDictionary(config, omegas, magnitudes)
 
 
-# Powers of ten up to 10^22 are exact doubles; fixed notation needs 10^0..10^20.
+# Powers of ten up to 10^22 are exact doubles; the fast range needs 10^8..10^20.
 _POW10 = np.array([float(10**p) for p in range(23)])
-_TEXT_WIDTH = 24  # the longest '%.17g' text: '-1.2345678901234567e-308'
+# |x| in [_FAST_LOW, _FAST_HIGH) prints from the tables, in fixed notation
+# with a decimal exponent of -4..8; every other value is printed by %
+_FAST_LOW, _FAST_HIGH = 1e-4, 1e9
+# A value's text field: ``-0.000``, the lead digit, a ``.`` slot after each
+# of the first nine digits, then the last eight digits, as four uint64 words
+#   -0.000d.  d.d.d.d.  d.d.d.d.  dddddddd
+# A value keeps the bytes of its text and NULs the rest; the longest '%.17g'
+# text, '-1.2345678901234567e-308', has 24 bytes.
+_TEXT_WIDTH = 32
 _CHUNK_VALUES = 2048  # values per written chunk: bounds the writer's working memory
 _LABEL = b"@"  # stands for the row's label in each line until the label goes in
 
@@ -306,13 +314,15 @@ def _two_product(a, b):
 def _text_tables():
     """The tables of :func:`_format_g17`, built on first use:
 
-    - ``groups``: the four ASCII digits of 0..9999, each as one uint32;
+    - ``heads``: ``-0.000``, the lead digit 0..9 and a ``.`` slot, each as
+      one uint64 word;
+    - ``dotted``: the four digits of 0..9999 after ``.`` slots,
+      ``d.d.d.d.``, each as one uint64 word;
+    - ``plain``: the four digits of 0..9999, each as one uint32;
     - ``trailing``: the trailing zeros of 0..9999 written with four digits;
-    - ``heads``: ``-0.`` and the leading digit 0..9, each as one uint32;
-    - ``layouts``: a (24, 714) table whose column for (sign, exponent
-      -4..16, digits kept 1..17) gives the source byte of each text byte.
-      A value's 24 source bytes are ``-``, ``0``, ``.``, its 17 digits and
-      NULs.
+    - ``masks``: one row of four uint64 words for each (sign, exponent
+      -4..8, digits kept 1..17), 0xFF on each byte of the field its text
+      keeps and 0 on the others.
 
     Small integer types keep the temporaries small.
     """
@@ -322,40 +332,46 @@ def _text_tables():
     trailing = np.zeros(10_000, np.uint8)
     for z in range(1, 5):
         trailing[n % 10**z == 0] = z
-    heads = np.zeros((10, 4), np.uint8)
-    heads[:, :3] = np.frombuffer(b"-0.", np.uint8)
-    heads[:, 3] = digits[:10, 3]
-    layouts = np.full((2, 21, 17, _TEXT_WIDTH), 20, np.intp)
+    heads = np.tile(np.frombuffer(b"-0.0000.", np.uint8), (10, 1))
+    heads[:, 6] = digits[:10, 3]
+    dotted = np.full((10_000, 8), ord("."), np.uint8)
+    dotted[:, ::2] = digits
+    # the field byte of each significant digit 1..17
+    digit_at = [6, *range(8, 24, 2), *range(24, 32)]
+    masks = np.zeros((2, 13, 17, _TEXT_WIDTH), np.uint8)
     for negative in (0, 1):
-        for k in range(-4, 17):
+        for k in range(-4, 9):
             for kept in range(1, 18):
-                source = [0] * negative
-                if k < 0:
-                    source += [1, 2, *[1] * (-k - 1), *range(3, 3 + kept)]
+                keep = [0] * negative
+                if k < 0:  # '0.', then -k - 1 zeros
+                    keep += [1, 2, *range(3, 2 - k), *digit_at[:kept]]
                 else:
-                    source += range(3, 4 + k)
-                    if kept > k + 1:
-                        source += [2, *range(4 + k, 3 + kept)]
-                layouts[negative, k + 4, kept - 1, : len(source)] = source
+                    keep += digit_at[: max(kept, k + 1)]
+                    if kept > k + 1:  # the '.' slot after digit k + 1
+                        keep.append(digit_at[k] + 1)
+                masks[negative, k + 4, kept - 1, keep] = 0xFF
     return (
+        heads.view(np.uint64).ravel(),
+        dotted.view(np.uint64).ravel(),
         digits.view(np.uint32).ravel(),
         trailing,
-        heads.view(np.uint32).ravel(),
-        layouts.reshape(-1, _TEXT_WIDTH).T.copy(),
+        masks.reshape(-1, _TEXT_WIDTH).view(np.uint64),
     )
 
 
 def _digits(magnitude):
-    """The 17 significant digits of each value in [1e-4, 1e17), rounded
-    half to even, as ``(source, k, dropped)``: the rows of 24 source bytes
-    of :func:`_text_tables`, as uint32, the decimal exponents and the
-    counts of trailing zero digits.
+    """The 17 significant digits of each value in [1e-4, 1e9), rounded
+    half to even, as ``(d, k)``: int64 whole numbers in [1e16, 1e17) and
+    the decimal exponents.
 
     ``k`` comes from ``log10``, checked exactly: the two-product
-    ``magnitude 10^(16 - k) = hi + lo`` must lie in [1e16, 1e17).
+    ``magnitude 10^(16 - k) = hi + lo`` must lie in [1e16, 1e17). ``d`` never
+    carries to 10^17: a value would need to lie within 5e-18 (relative)
+    below the next power of ten, and in this range the powers 1..1e9 are
+    exact and the doubles next below 1e-3, 1e-2 and 1e-1 are 1.3e-16 or
+    more below them.
     """
-    groups, trailing, heads, _ = _text_tables()
-    k = np.clip(np.floor(np.log10(magnitude)), -4, 16).astype(np.intp)
+    k = np.clip(np.floor(np.log10(magnitude)), -4, 8).astype(np.intp)
     hi, lo = _two_product(magnitude, _POW10[16 - k])
     near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
     if near.size:  # at a bound, or log10 off by one next to a power of ten
@@ -365,45 +381,43 @@ def _digits(magnitude):
         hi[near], lo[near] = _two_product(magnitude[near], _POW10[16 - k[near]])
     # hi >= 1e16 > 2^53 is an even whole number, so rounding lo half to
     # even rounds hi + lo half to even
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    # a carry to 10^17 raises k by one; k stays <= 16, as no double lies
-    # in [1e17 - 0.5, 1e17)
-    carry = d == 10**17
-    d[carry] = 10**16
-    k += carry
-    upper = d // 10**8
-    lower = d - upper * 10**8
-    lead = upper // 10**8
-    upper -= lead * 10**8
-    source = np.zeros((magnitude.size, _TEXT_WIDTH // 4), np.uint32)
-    source[:, 0] = heads[lead]
-    dropped = np.zeros(magnitude.size, np.intp)
-    first, third = upper // 10**4, lower // 10**4
-    quads = (first, upper - first * 10**4, third, lower - third * 10**4)
-    for column, group in enumerate(quads, start=1):
-        source[:, column] = groups[group]
-        dropped = trailing[group] + (group == 0) * dropped
-    return source, k, dropped
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), k
 
 
 def _format_g17(values) -> np.ndarray:
     """``'%.17g' % x`` of each of at most ``_CHUNK_VALUES`` floats, as the
-    rows of a (values, 24) uint8 array, NUL-padded on the right.
+    rows of a (values, 32) uint8 array with NULs among the text bytes.
 
-    A value with 1e-4 <= |x| < 1e17 prints in fixed notation: its text is
-    one gather from its :func:`_digits` by the layout of (sign, exponent,
-    digits before the trailing zeros). Every other value (zeros,
-    non-finite, the exponent forms) is formatted by ``%`` itself.
+    A value with 1e-4 <= |x| < 1e9 prints in fixed notation: its field is
+    filled from word tables by its :func:`_digits`, four digits a word,
+    then ANDed with the mask row of (sign, exponent, digits before the
+    trailing zeros). Every other value (zeros, non-finite, the exponent
+    forms, 1e9 <= |x| < 1e17) is formatted by ``%`` itself.
     """
+    heads, dotted, plain, trailing, masks = _text_tables()
     x = np.asarray(values, dtype=float).ravel()
     magnitude = np.abs(x)
-    other = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e17)))
+    other = np.flatnonzero(~((magnitude >= _FAST_LOW) & (magnitude < _FAST_HIGH)))
     magnitude[other] = 1.0  # formatted by % below
-    source, k, dropped = _digits(magnitude)
-    code = (np.signbit(x) * 21 + k + 4) * 17 + 16 - dropped
-    gather = _text_tables()[3].take(code, axis=1)
-    gather += np.arange(0, _TEXT_WIDTH * x.size, _TEXT_WIDTH)
-    text = source.view(np.uint8).ravel().take(gather).T
+    d, k = _digits(magnitude)
+    upper = d // 10**8
+    lower = d - upper * 10**8
+    lead = upper // 10**8
+    upper -= lead * 10**8
+    first, third = upper // 10**4, lower // 10**4
+    quads = (first, upper - first * 10**4, third, lower - third * 10**4)
+    words = np.empty((x.size, _TEXT_WIDTH // 8), np.uint64)
+    words[:, 0] = heads.take(lead)
+    words[:, 1] = dotted.take(quads[0])
+    words[:, 2] = dotted.take(quads[1])
+    halves = words.view(np.uint32)
+    halves[:, 6] = plain.take(quads[2])
+    halves[:, 7] = plain.take(quads[3])
+    dropped = np.zeros(x.size, np.intp)
+    for group in quads:
+        dropped = trailing.take(group) + (group == 0) * dropped
+    words &= masks.take((np.signbit(x) * 13 + k + 4) * 17 + 16 - dropped, axis=0)
+    text = words.view(np.uint8)
     for i in other.tolist():
         chars = b"%.17g" % x[i]
         text[i] = 0
@@ -417,10 +431,11 @@ def write_dictionary_csv(path, dictionary: FaultDictionary, frequencies=None) ->
     ``frequencies`` replace the dictionary's in the freq column (the CLI
     writes the user's unit); a different count raises ``ValueError``.
     Every number is ``'%.17g' % x``. The array goes out in chunks of at
-    most ``_CHUNK_VALUES`` values: a (rows, columns, line) byte buffer of
-    placeholder, freq and magnitude texts with NUL padding, which is
-    dropped, then each row's label replaces the placeholder. The file is
-    UTF-8.
+    most ``_CHUNK_VALUES`` values. Each column chunk has one line template
+    per frequency (placeholder, commas, freq text and newline), built
+    once; a chunk's (rows, columns, line) byte buffer is a copy of it with
+    the magnitude texts written in. NULs are dropped, then each row's label
+    replaces the placeholder. The file is UTF-8.
     """
     freqs = np.asarray(dictionary.frequencies if frequencies is None else frequencies, float)
     if freqs.shape != dictionary.frequencies.shape:
@@ -431,21 +446,26 @@ def write_dictionary_csv(path, dictionary: FaultDictionary, frequencies=None) ->
     magnitudes = dictionary.magnitudes_db
     width = min(max(freqs.size, 1), _CHUNK_VALUES)
     height = _CHUNK_VALUES // width
-    freq_texts = [_format_g17(freqs[c : c + width]) for c in range(0, freqs.size, width)]
     line = 4 + 2 * _TEXT_WIDTH  # placeholder , freq , magnitude \n
+    templates = []
+    for c in range(0, freqs.size, width):
+        texts = _format_g17(freqs[c : c + width])
+        template = np.zeros((len(texts), line), np.uint8)
+        template[:, 0] = _LABEL[0]
+        template[:, 1] = template[:, 2 + _TEXT_WIDTH] = ord(",")
+        template[:, 2 : 2 + _TEXT_WIDTH] = texts
+        template[:, -1] = ord("\n")
+        templates.append(template)
     with open(path, "wb") as fh:
         fh.write(b"component,deviation,freq,mag_db\n")
         for r in range(0, len(magnitudes), height):
-            for c, freq_text in zip(range(0, freqs.size, width), freq_texts):
+            for c, template in zip(range(0, freqs.size, width), templates):
                 block = magnitudes[r : r + height, c : c + width]
-                lines = np.zeros((*block.shape, line), np.uint8)
-                lines[..., 0] = _LABEL[0]
-                lines[..., 1] = lines[..., 2 + _TEXT_WIDTH] = ord(",")
-                lines[..., 2 : 2 + _TEXT_WIDTH] = freq_text
+                lines = np.empty((len(block), *template.shape), np.uint8)
+                lines[...] = template
                 lines[..., 3 + _TEXT_WIDTH : -1] = _format_g17(block).reshape(
                     *block.shape, _TEXT_WIDTH
                 )
-                lines[..., -1] = ord("\n")
                 fh.write(
                     b"".join(
                         row.tobytes().translate(None, b"\0").replace(_LABEL, label)

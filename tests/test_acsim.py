@@ -178,6 +178,18 @@ def test_solve_ac_raises_where_its_matrix_overflows():
     assert solve_ac(circuit, 1e8) == -1e-308j
 
 
+def test_sweep_raises_where_its_matrix_overflows():
+    # the same overflow through the block solve: the LU's exact 0 is named
+    # by its matrix, not as a zero output magnitude
+    circuit = parse_netlist("V1 in 0 1\nR1 in out 1\nC1 out 0 1e300\n.input V1\n.output out\n")
+    with pytest.raises(SimulationError) as failure:
+        sweep(circuit, [1e9])
+    assert str(failure.value) == (
+        "golden circuit failed: an MNA matrix entry is out of floating-point range "
+        "at omega=1e+09 rad/s; check element values"
+    )
+
+
 def test_failure_without_a_cause_names_its_frequency():
     # a row that failed where its matrix is finite and well conditioned
     from trajdiag.acsim import _raise_failure

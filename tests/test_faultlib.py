@@ -1,6 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from trajdiag.acsim import ResponseCurve, log_grid, sweep
 from trajdiag.errors import ConfigError
 from trajdiag.faultlib import (
     _CHUNK_VALUES,
+    _FAST_HIGH,
+    _FAST_LOW,
     _LABEL,
     FaultConfig,
     FaultDictionary,
@@ -596,13 +603,17 @@ NETLIST_IDS = {
 }
 
 
-@pytest.mark.parametrize("case", [*NETLIST_IDS, "ladder-hz", "wide", "one-point"])
+@pytest.mark.parametrize(
+    "case", [*NETLIST_IDS, "ladder-hz", "wide", "one-point", "high-freq"]
+)
 def test_dictionary_csv_template_matches_reference(tmp_path, biquad, case):
     # each row's lines are built with a placeholder where the label goes,
     # and the label replaces it last: ids holding "%", non-ASCII letters
     # (UTF-8 in the file) or the placeholder itself come out as they are.
     # The 18-passive ladder at 201 points with Hz labels is the
-    # benchmark's sweep shape; a row wider than a chunk is written in parts
+    # benchmark's sweep shape; a row wider than a chunk is written in
+    # parts; freq texts from 1e9 rad/s up are printed by % into the
+    # column templates
     labels = None
     if case in NETLIST_IDS:
         r, l, c = NETLIST_IDS[case]
@@ -617,6 +628,9 @@ def test_dictionary_csv_template_matches_reference(tmp_path, biquad, case):
     elif case == "wide":
         circuit = parse_netlist(ONE_POLE_RC)
         grid = log_grid(0.01, 100.0, 2 * _CHUNK_VALUES + 5)
+    elif case == "high-freq":
+        circuit, grid = biquad, log_grid(1e7, 1e12, 31)
+        assert grid[0] < _FAST_HIGH <= grid[-1]
     else:
         circuit, grid = biquad, [1.0]
     dictionary = build_dictionary(circuit, FaultConfig(circuit.passive_ids()), grid)
@@ -634,7 +648,7 @@ def _g17_texts(values):
     """``_format_g17`` of any number of values, chunk by chunk, as str."""
     values = np.asarray(values, dtype=float)
     return [
-        bytes(row).rstrip(b"\0").decode()
+        bytes(row).replace(b"\0", b"").decode()
         for start in range(0, values.size, _CHUNK_VALUES)
         for row in _format_g17(values[start : start + _CHUNK_VALUES])
     ]
@@ -646,10 +660,26 @@ def test_format_g17_matches_percent(values):
     assert _g17_texts(values) == ["%.17g" % v for v in values]
 
 
+def _decade_carries():
+    """The doubles next below each power of ten whose 17-digit rounding
+    carries into that power's decade: '%.17g' prints the power itself."""
+    carries = []
+    for p in range(-323, 309):
+        power = Decimal(10) ** p
+        x = float(power)
+        if Decimal(x) >= power:
+            x = float(np.nextafter(x, 0.0))
+        while x > 0.0 and Decimal("%.17g" % x) == power:
+            carries.append(x)
+            x = float(np.nextafter(x, 0.0))
+    return carries
+
+
 def test_format_g17_matches_percent_on_edge_classes():
     rng = np.random.default_rng(16)
-    # powers of ten from 1e-6 to 1e18 and their neighbours up to 3 ulps away
-    powers = np.array([10.0**p for p in range(-6, 19)])
+    # powers of ten from 1e-6 to 1e18, and both ends of the table range
+    # where they are not among them, with their neighbours up to 3 ulps away
+    powers = np.union1d([10.0**p for p in range(-6, 19)], [_FAST_LOW, _FAST_HIGH])
     near = [powers]
     for step in (1, 2, 3):
         for way in (0.0, np.inf):
@@ -658,6 +688,7 @@ def test_format_g17_matches_percent_on_edge_classes():
                 moved = np.nextafter(moved, way)
             near.append(moved)
     whole = rng.integers(10**15, 10**16, 20_000).astype(float)
+    carries = _decade_carries()
     values = np.concatenate(
         [
             rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64),  # any bits
@@ -670,16 +701,22 @@ def test_format_g17_matches_percent_on_edge_classes():
             [1000000000000000.25, 1e-4, np.nextafter(1e-4, 0.0), 1e16, 1e17],
             [np.nextafter(1e17, 0.0), 0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308],
             [1.7976931348623157e308, 9.9999999999999995e-5, 99999999999999984.0],
+            carries,
         ]
     )
     values = np.concatenate([values, -values])
     got = _g17_texts(values)
     mismatches = [(v, g) for v, g in zip(values.tolist(), got) if g != "%.17g" % v]
     assert not mismatches, mismatches[:5]
+    assert _g17_texts([-0.0, 0.0]) == ["-0", "0"]
+    # _digits has no carry to the next decade: the search finds carries
+    # (1e-14 is one), and none lies in the table range
+    assert 1e-14 in carries
+    assert not [x for x in carries if _FAST_LOW <= x < _FAST_HIGH]
 
 
 def test_dictionary_csv_working_memory_is_one_chunk(tmp_path):
-    # the benchmark's sweep shape: a chunk's buffers (about 0.8 MiB), not
+    # the benchmark's sweep shape: a chunk's buffers (about 0.5 MiB), not
     # the whole file's 1.5 MB of text
     circuit = parse_netlist(_ladder_netlist(np.random.default_rng(801)))
     labels = log_grid(0.01, 2.0, 201)
@@ -695,7 +732,22 @@ def test_dictionary_csv_working_memory_is_one_chunk(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2**20, peak
+    assert peak <= 3 * 2**18, peak
+
+
+def test_import_builds_no_writer_tables():
+    # the writer's tables are built on its first call, not at import, so
+    # commands that write no dictionary never build them
+    code = (
+        "import trajdiag, trajdiag.cli\n"
+        "from trajdiag.faultlib import _text_tables\n"
+        "print(_text_tables.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(td.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_dictionary_csv(tmp_path, biquad):
