@@ -7,6 +7,16 @@ reactance live in ``C``. Frequencies are angular (rad/s) throughout this
 module; the CLI converts from Hz when so configured. Magnitudes are
 reported in dB.
 
+Every element is stamped from its incidence vector: ``e_p - e_q`` over
+the unknowns for terminals p and q, where ground has no entry and a
+self-loop none at all. A passive with stamp column ``u`` adds ``coef *
+u u^T``: ``1/R`` to ``G`` for a resistor, ``C`` to ``C`` for a
+capacitor, and ``-L`` to ``C`` at ``u = e_row`` (its branch row) for an
+inductor. A source, vcvs or inductor adds its ``e_p - e_q`` to its
+branch column and branch row, and a vcvs subtracts ``gain * (e_cp -
+e_cq)`` from its row. So a fault that scales a passive changes ``G`` or
+``C`` by a multiple of exactly that ``u u^T``.
+
 Every magnitude in the package comes from one block loop,
 :meth:`MnaSystem._solve`, and :func:`solve_ac` reads the complex output
 of that loop's golden step at its one frequency. A fault deviates one
@@ -89,7 +99,10 @@ class MnaSystem:
     ``g`` and ``c`` are the golden (size, size) matrices. ``rhs`` is ``[b |
     U]``: the unit source vector, then the stamp column ``u`` of every
     passive element in netlist order (``e_i - e_j`` for an R or C between
-    nodes i and j, ``e_row`` for an inductor's branch row). Every solve of
+    nodes i and j, ``e_row`` for an inductor's branch row). A passive
+    enters ``g`` or ``c`` only as ``coef * u u^T`` with its own column
+    ``u``, added at ``u``'s nonzero entries only (``coef`` = 1/R, C or
+    -L), so a self-loop, whose ``u`` is zero, adds nothing. Every solve of
     a circuit uses these same right-hand sides, so a fault's row does not
     depend on which other faults share the solve. Row 0 of every result is
     the golden circuit, named ``golden circuit`` in errors; the rows of
@@ -109,63 +122,47 @@ class MnaSystem:
         branches = [e for e in circuit.elements if e.kind in _BRANCH_KINDS]
         passives = [e for e in circuit.elements if e.kind in PASSIVE_KINDS]
 
-        n_nodes = len(node_index)
-        size = n_nodes + len(branches)
-        g = np.zeros((size, size))
-        c = np.zeros((size, size))
-        # row ``size`` of the right-hand sides stands for ground and is dropped
-        rhs = np.zeros((size + 1, 1 + len(passives)), dtype=complex)
+        size = len(node_index) + len(branches)
+        g, c = np.zeros((size, size)), np.zeros((size, size))
+        rhs = np.zeros((size, 1 + len(passives)), dtype=complex)
         column = {e.id: 1 + k for k, e in enumerate(passives)}
+        branch_row = {e.id: len(node_index) + k for k, e in enumerate(branches)}
 
-        def idx(node: str) -> int:
-            return size if node == GROUND else node_index[node]
-
-        def stamp(mat, i, j, val):
-            if i < size and j < size:
-                mat[i, j] += val
-
-        branch_row = {e.id: n_nodes + k for k, e in enumerate(branches)}
+        def across(p: str, q: str) -> list:
+            """The nonzero ``(index, sign)`` entries of ``e_p - e_q``."""
+            if p == q:
+                return []
+            return [(node_index[n], s) for n, s in ((p, 1.0), (q, -1.0)) if n != GROUND]
 
         for element in circuit.elements:
-            kind = element.kind
-            if kind is ElementKind.RESISTOR or kind is ElementKind.CAPACITOR:
-                n1, n2 = (idx(n) for n in element.nodes)
-                mat, val = (
-                    (g, 1.0 / element.value)
-                    if kind is ElementKind.RESISTOR
-                    else (c, element.value)
-                )
-                stamp(mat, n1, n1, val)
-                stamp(mat, n2, n2, val)
-                stamp(mat, n1, n2, -val)
-                stamp(mat, n2, n1, -val)
-                rhs[n1, column[element.id]] += 1.0
-                rhs[n2, column[element.id]] -= 1.0
-            elif kind is ElementKind.VSOURCE or kind is ElementKind.INDUCTOR:
-                n1, n2 = (idx(n) for n in element.nodes)
+            kind, value = element.kind, element.value
+            if kind in _BRANCH_KINDS:
                 row = branch_row[element.id]
-                stamp(g, n1, row, 1.0)
-                stamp(g, n2, row, -1.0)
-                stamp(g, row, n1, 1.0)
-                stamp(g, row, n2, -1.0)
+                for i, s in across(*element.nodes[:2]):
+                    g[i, row] += s
+                    g[row, i] += s
                 if kind is ElementKind.VSOURCE:
                     rhs[row, 0] = 1.0
-                else:
-                    c[row, row] = -element.value
-                    rhs[row, column[element.id]] = 1.0
-            else:  # vcvs: V(p) - V(q) = gain * (V(cp) - V(cq))
-                p, q, cp, cq = (idx(n) for n in element.nodes)
-                row = branch_row[element.id]
-                stamp(g, p, row, 1.0)
-                stamp(g, q, row, -1.0)
-                stamp(g, row, p, 1.0)
-                stamp(g, row, q, -1.0)
-                stamp(g, row, cp, -element.value)
-                stamp(g, row, cq, element.value)
+                elif kind is ElementKind.VCVS:  # V(p) - V(q) = gain * (V(cp) - V(cq))
+                    for i, s in across(*element.nodes[2:]):
+                        g[row, i] -= value * s
+            if kind is ElementKind.RESISTOR:
+                mat, coef, u = g, 1.0 / value, across(*element.nodes)
+            elif kind is ElementKind.CAPACITOR:
+                mat, coef, u = c, value, across(*element.nodes)
+            elif kind is ElementKind.INDUCTOR:
+                mat, coef, u = c, -value, [(row, 1.0)]
+            else:
+                continue
+            # only u's entries: a dense outer product would take 1/R = inf times 0
+            for i, s in u:
+                rhs[i, column[element.id]] = s
+                for j, t in u:
+                    mat[i, j] += coef * s * t
 
-        self.g, self.c, self.rhs, self.size = g, c, rhs[:size], size
+        self.g, self.c, self.rhs, self.size = g, c, rhs, size
         # golden systems are cached and shared between callers
-        for array in (g, c, self.rhs):
+        for array in (g, c, rhs):
             array.flags.writeable = False
         self.out_index = node_index[circuit.output_node]
         self._circuit = circuit

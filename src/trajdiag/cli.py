@@ -268,9 +268,15 @@ def _outdir(config: RunConfig) -> Path:
 def cmd_simulate(config: RunConfig) -> int:
     circuit = _load_circuit(config)
     fault_config = _fault_config(config, circuit)
-    out = _outdir(config)
     user_grid = log_grid(config.f_min, config.f_max, config.grid)
-    dictionary = build_dictionary(circuit, fault_config, user_grid * config.omega_scale)
+    omegas = user_grid * config.omega_scale
+    if not (omegas[1:] > omegas[:-1]).all():
+        raise ConfigError(
+            f"config field 'grid': {config.grid} points are not distinct frequencies "
+            f"between f_min and f_max"
+        )
+    out = _outdir(config)
+    dictionary = build_dictionary(circuit, fault_config, omegas)
     write_dictionary_csv(out / "dictionary.csv", dictionary, frequencies=user_grid)
     print(
         f"wrote {out / 'dictionary.csv'}: golden + {len(dictionary.magnitudes_db) - 1} faults "

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .trajectory import _check_components, _check_tolerances, _dot
+from .trajectory import _check_set, _check_tolerances, _dot
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,7 @@ def _layout(trajectories: tuple) -> tuple:
     """
     if not trajectories:
         raise ValueError("no trajectories to classify against")
-    dims = {t.dimension for t in trajectories}
-    if len(dims) != 1:
-        raise ValueError("trajectories have mixed dimensions")
-    components = tuple(t.component for t in trajectories)
-    _check_components(components)
+    n = _check_set(trajectories)
     # every segment of every trajectory, in one array: segment k of the
     # concatenation runs from point k to point k + 1, except across the
     # end of a trajectory; zero-length segments are repeated points
@@ -96,7 +92,7 @@ def _layout(trajectories: tuple) -> tuple:
     )
     for array in arrays:  # every later call reads the same arrays
         array.flags.writeable = False
-    return (components, dims.pop(), *arrays)
+    return (tuple(t.component for t in trajectories), n, *arrays)
 
 
 def classify(

@@ -293,8 +293,19 @@ def run_ga(
     Returns the best-so-far vector and the full per-generation log.
     """
     scorer = _Scorer(circuit, fault_config, tol, origin_tol)
+    seeds = np.random.SeedSequence(ga_config.seed).spawn(ga_config.generations + 1)
+    bounds = ga_config.bounds
+    init_rng = np.random.Generator(np.random.PCG64(seeds[0]))
+    genes = init_rng.uniform(
+        bounds[0], bounds[1], size=(ga_config.population_size, ga_config.n_frequencies)
+    )
+    population = [Chromosome(tuple(row.tolist()), bounds) for row in genes]
+    best_fitness, records = -1.0, []  # every fitness is at least 0
 
-    def evaluate(population, generation) -> list[float]:
+    for generation in range(ga_config.generations + 1):
+        if generation > 0:
+            rng = np.random.Generator(np.random.PCG64(seeds[generation]))
+            population = step_generation(population, fitnesses, ga_config, rng)
         # Python's float power, as Chromosome.decode: numpy's vectorized
         # 10.0 ** genes rounds some genes to a neighbouring float
         counts = scorer([tuple(10.0**g for g in c.genes) for c in population])
@@ -304,39 +315,12 @@ def run_ga(
             generation, len(population), scorer.counted,
             len(population) - scorer.counted, fitnesses.count(0.0),
         )
-        return fitnesses
-
-    seeds = np.random.SeedSequence(ga_config.seed).spawn(ga_config.generations + 1)
-    bounds = ga_config.bounds
-    init_rng = np.random.Generator(np.random.PCG64(seeds[0]))
-    genes = init_rng.uniform(
-        bounds[0], bounds[1], size=(ga_config.population_size, ga_config.n_frequencies)
-    )
-    population = [Chromosome(tuple(row.tolist()), bounds) for row in genes]
-    fitnesses = evaluate(population, 0)
-
-    best_index = int(np.argmax(fitnesses))
-    best_fitness = fitnesses[best_index]
-    best = population[best_index]
-    records = [
-        GaRecord(0, best_fitness, float(np.mean(fitnesses)), best.decode().frequencies)
-    ]
-
-    for generation in range(1, ga_config.generations + 1):
-        rng = np.random.Generator(np.random.PCG64(seeds[generation]))
-        population = step_generation(population, fitnesses, ga_config, rng)
-        fitnesses = evaluate(population, generation)
         gen_best = int(np.argmax(fitnesses))
         if fitnesses[gen_best] > best_fitness:
             best_fitness = fitnesses[gen_best]
             best = population[gen_best]
         records.append(
-            GaRecord(
-                generation,
-                best_fitness,
-                float(np.mean(fitnesses)),
-                best.decode().frequencies,
-            )
+            GaRecord(generation, best_fitness, float(np.mean(fitnesses)), best.decode().frequencies)
         )
 
     best_vector = best.decode()

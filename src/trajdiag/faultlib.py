@@ -61,7 +61,9 @@ class FaultSpec:
 
 def check_grid(range_low: float, range_high: float, step: float) -> tuple[int, int]:
     """Raise ConfigError unless 0 < range_low < 1 < range_high, each a whole
-    number of ``step`` from 1.0 (the rule of :class:`FaultConfig`).
+    number of ``step`` from 1.0, and the lowest grid deviation, rounded as
+    :class:`FaultConfig` rounds it, is above -1 (the rule of
+    :class:`FaultConfig`).
 
     Returns those whole numbers, the steps below and above 1.0, whose sum
     is the number of faults per target; nothing is built.
@@ -84,6 +86,13 @@ def check_grid(range_low: float, range_high: float, step: float) -> tuple[int, i
                 f"(span {span:g}, step {step:g})"
             )
         counts.append(round(steps))
+    # the grid's lowest deviation, as FaultConfig rounds it
+    lowest = round(-counts[0] * step, 12)
+    if lowest <= -1.0:
+        raise ConfigError(
+            f"range_low rounds to deviation {lowest:g}, a multiplier of 0 or less "
+            f"(range_low {range_low:g}, step {step:g})"
+        )
     return tuple(counts)
 
 

@@ -341,14 +341,18 @@ def _check_tolerances(**tolerances) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _check_components(names) -> None:
-    """Raise ``ValueError`` if ``names``, the components of a trajectory
-    set, name one component twice."""
+def _check_set(trajectories) -> int:
+    """The dimension of a non-empty trajectory set; ``ValueError`` if the
+    set names one component twice or mixes dimensions."""
     seen = set()
-    for name in names:
-        if name in seen:
-            raise ValueError(f"component {name!r} has two trajectories")
-        seen.add(name)
+    for t in trajectories:
+        if t.component in seen:
+            raise ValueError(f"component {t.component!r} has two trajectories")
+        seen.add(t.component)
+    dims = {t.dimension for t in trajectories}
+    if len(dims) != 1:
+        raise ValueError(f"trajectories have mixed dimensions: {sorted(dims)}")
+    return dims.pop()
 
 
 def _origin_tol(tol: float, origin_tol: float | None) -> float:
@@ -390,10 +394,7 @@ def count_intersections(trajectories, tol: float = 1e-6, origin_tol: float | Non
     trajectories = list(trajectories)
     if len(trajectories) < 2:
         return 0, []
-    _check_components(t.component for t in trajectories)
-    dims = {t.dimension for t in trajectories}
-    if len(dims) != 1:
-        raise ValueError(f"trajectories have mixed dimensions: {sorted(dims)}")
+    _check_set(trajectories)
 
     points = [traj.points for traj in trajectories]
     p0 = np.concatenate([pts[:-1] for pts in points])

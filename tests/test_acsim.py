@@ -5,10 +5,11 @@ import pytest
 
 from trajdiag.acsim import MnaSystem, ResponseCurve, log_grid, solve_ac, sweep
 from trajdiag.errors import NetlistError, SimulationError
+from trajdiag.faultlib import FaultSpec
 from trajdiag.netlist import Element, ElementKind, parse_netlist
 
 from conftest import ONE_POLE_RC
-from oracle_utils import apply_deviation
+from oracle_utils import apply_deviation, random_rlc_vcvs_netlist
 
 ONE_POLE_RL = "V1 1 0 1\nL1 1 2 1\nR1 2 0 1\n.input V1\n.output 2\n"
 DIVIDER = "V1 1 0 1\nR1 1 2 1\nR2 2 0 1\n.input V1\n.output 2\n"
@@ -272,3 +273,33 @@ def test_mna_unknown_count(biquad):
     # 5 non-ground nodes + source current + vcvs current
     assert system.size == 7
 
+
+
+def test_a_self_loop_adds_nothing():
+    # a self-loop's stamp column is zero, and so is its stamp: the
+    # four-entry stamp of R9 left 1/3 + 10 + 10 - 10 - 10 in g[out, out]
+    loop = MnaSystem(parse_netlist("V1 in 0 1\nR1 in out 3\nR9 out out 0.1\nC1 out 0 1\n"
+                                   ".input V1\n.output out\n"))
+    plain = MnaSystem(parse_netlist("V1 in 0 1\nR1 in out 3\nC1 out 0 1\n.input V1\n.output out\n"))
+    assert loop.g.tobytes() == plain.g.tobytes()
+    assert loop.c.tobytes() == plain.c.tobytes()
+    assert loop.g[loop.out_index, loop.out_index] == 1.0 / 3.0
+    assert not loop.rhs[:, 2].any()
+    assert np.array_equal(np.delete(loop.rhs, 2, axis=1), plain.rhs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_fault_changes_its_matrices_by_its_own_stamp_column(seed):
+    # the premise of the rank-one solve, on the matrices: a deviated passive's
+    # own MNA matrices are the golden ones plus (dg, dc) * u u^T, with dg
+    # and dc from fault_rows and u the passive's column of rhs
+    circuit = parse_netlist(random_rlc_vcvs_netlist(np.random.default_rng(seed)))
+    system = MnaSystem(circuit)
+    faults = [FaultSpec(k, d) for k in circuit.passive_ids() for d in (-0.5, -0.1, 0.3, 2.0)]
+    _, (columns, dg, jdc) = system.fault_rows(faults)
+    for fault, column, dg_k, dc_k in zip(faults, columns, dg, jdc.imag):
+        u = system.rhs[:, column].real
+        faulty = MnaSystem(apply_deviation(circuit, fault))
+        np.testing.assert_allclose(faulty.g, system.g + dg_k * np.outer(u, u), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(faulty.c, system.c + dc_k * np.outer(u, u), rtol=1e-14, atol=0)
+        assert np.array_equal(faulty.rhs, system.rhs)

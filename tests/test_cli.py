@@ -129,6 +129,26 @@ def test_bad_ga_setting_names_its_field(tmp_path, capsys, args, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args,line",
+    [
+        (["--range-low", 1e-12],
+         "config field 'range_low'/'range_high'/'step': range_low rounds to deviation -1, "
+         "a multiplier of 0 or less (range_low 1e-12, step 0.1)"),
+        (["--grid", 5, "--f-min", 1, "--f-max", 1.0000000000000002],
+         "config field 'grid': 5 points are not distinct frequencies between f_min and f_max"),
+    ],
+    ids=["zero-multiplier", "crowded-band"],
+)
+def test_bad_sweep_grid_names_its_field(tmp_path, capsys, args, line):
+    # a fault grid whose lowest multiplier rounds to 0, and a band too
+    # narrow for its points, exited naming 'targets' and exited 1
+    out = tmp_path / "out"
+    assert run(["simulate", "--outdir", out, *args]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
+
+
 FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 

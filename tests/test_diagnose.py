@@ -282,7 +282,7 @@ def test_mixed_dimensions_raise_on_every_call_and_are_never_cached():
     mixed = [make_trajectory("A", [(1.0, 0.0)]), make_trajectory("B", [(1.0, 0.0, 0.0)])]
     diagnose._layout.cache_clear()
     for _ in range(3):
-        with pytest.raises(ValueError, match="mixed dimensions"):
+        with pytest.raises(ValueError, match=r"^trajectories have mixed dimensions: \[2, 3\]$"):
             classify((1.0, 1.0), mixed)
     assert diagnose._layout.cache_info().currsize == 0
 

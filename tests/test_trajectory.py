@@ -167,6 +167,13 @@ def test_a_component_named_twice_is_rejected(biquad, biquad_faults):
         count_intersections([*trajectories, trajectories[1]], 1e-6)
 
 
+def test_mixed_dimensions_are_rejected():
+    a = make_trajectory("A", [(1.0, 1.0), (2.0, 0.0)])
+    b = make_trajectory("B", [(1.0, 0.0, 0.0), (2.0, 1.0, 0.0)])
+    with pytest.raises(ValueError, match=r"^trajectories have mixed dimensions: \[2, 3\]$"):
+        count_intersections([a, b], 1e-6)
+
+
 def test_parallel_disjoint_counts_zero():
     a = make_trajectory("A", [(1.0, 1.0), (2.0, 2.0)])
     b = make_trajectory("B", [(1.0, -1.0), (2.0, 0.0)])
