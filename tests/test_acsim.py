@@ -274,10 +274,9 @@ def test_mna_unknown_count(biquad):
     assert system.size == 7
 
 
-
 def test_a_self_loop_adds_nothing():
-    # a self-loop's stamp column is zero, and so is its stamp: the
-    # four-entry stamp of R9 left 1/3 + 10 + 10 - 10 - 10 in g[out, out]
+    # a self-loop's stamp column is zero, and so is its stamp, bit for bit:
+    # no +-10 from R9 passes through g[out, out]
     loop = MnaSystem(parse_netlist("V1 in 0 1\nR1 in out 3\nR9 out out 0.1\nC1 out 0 1\n"
                                    ".input V1\n.output out\n"))
     plain = MnaSystem(parse_netlist("V1 in 0 1\nR1 in out 3\nC1 out 0 1\n.input V1\n.output out\n"))

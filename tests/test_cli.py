@@ -142,7 +142,7 @@ def test_bad_ga_setting_names_its_field(tmp_path, capsys, args, line):
 )
 def test_bad_sweep_grid_names_its_field(tmp_path, capsys, args, line):
     # a fault grid whose lowest multiplier rounds to 0, and a band too
-    # narrow for its points, exited naming 'targets' and exited 1
+    # narrow for its points, are bad input: exit 2 naming the field, no outdir
     out = tmp_path / "out"
     assert run(["simulate", "--outdir", out, *args]) == 2
     assert capsys.readouterr().err == f"error: {line}\n"

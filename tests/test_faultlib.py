@@ -63,13 +63,13 @@ def test_smallest_grid():
         (dict(targets=("R1",), range_low=1.2), "range_low < 1"),
         (dict(targets=("R1",), range_high=0.8), "range_low < 1"),
         (dict(targets=("R1",), range_low=-0.1), "range_low < 1"),
-        # 1 - 1e-12 is 10 steps of 0.1 within 1e-9, and -10 * 0.1 rounds to -1
-        (dict(targets=("R1",), range_low=1e-12), "range_low rounds to deviation -1, "),
         (dict(targets=("R1",), step=-0.1), "positive"),
         (dict(targets=("R1",), step=0.0), "positive"),
         (dict(targets=("R1",), step=float("inf")), "finite"),
         # tuple("R1") would be the targets 'R', '1'
         (dict(targets="R1"), "not the string 'R1'"),
+        # 1 - 1e-12 is 10 steps of 0.1 within 1e-9, and -10 * 0.1 rounds to -1
+        (dict(targets=("R1",), range_low=1e-12), "range_low rounds to deviation -1, "),
     ],
 )
 def test_config_validation(kwargs, fragment):
